@@ -102,7 +102,6 @@ def cmd_solve(args):
         max_cut_rounds=args.max_rounds,
         max_cuts_per_round=args.max_cuts,
         branching=args.branching,
-        seed=_default_seed(args),
     )
     t0 = time.monotonic()
     res = BC.solve(g, params)
@@ -141,7 +140,7 @@ def _bench_one(task):
         try:
             res = BC.solve(
                 g,
-                BC.SolveParams(time_limit_seconds=time_limit, branching=branching, seed=seed),
+                BC.SolveParams(time_limit_seconds=time_limit, branching=branching),
             )
         except Exception as exc:  # numerical failure recorded, bench continues
             base.update(status=f"error:{type(exc).__name__}", lb="", ub="", gap_pct="", nodes="")
@@ -268,7 +267,6 @@ def build_parser():
     p.add_argument("--branching", choices=("cycle", "standard"), default="cycle")
     p.add_argument("--max-rounds", type=int, default=10)
     p.add_argument("--max-cuts", type=int, default=100)
-    p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run methods over an instance directory")

@@ -4,13 +4,12 @@ separation routines, lifting, the cut pool, and the rounding heuristic."""
 from __future__ import annotations
 
 import heapq
-import weakref
-from collections import OrderedDict
-from dataclasses import dataclass, field
+from collections import OrderedDict, deque
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NEG, POS, Bipartition, SignedGraph, induced, is_balanced
+from .graph import NEG, Bipartition, ParityDSU, SignedGraph
 
 VIOLATION_TOL = 1e-4
 
@@ -119,22 +118,6 @@ def scan_pool(pool: CutPool, y, limit=100):
     return [cuts[i] for i in order[:limit]]
 
 
-_ADJ_CACHE = weakref.WeakKeyDictionary()
-
-
-def _signed_adjacency(g: SignedGraph):
-    """adj[u] = {v: set of signs}; cached per graph instance."""
-    adj = _ADJ_CACHE.get(g)
-    if adj is not None:
-        return adj
-    adj = [dict() for _ in range(g.n)]
-    for u, v, s in g.edges:
-        adj[u].setdefault(v, set()).add(s)
-        adj[v].setdefault(u, set()).add(s)
-    _ADJ_CACHE[g] = adj
-    return adj
-
-
 def conflict_graph(g: SignedGraph):
     """Adjacency sets of the parallel-pair conflict graph."""
     adj = [set() for _ in range(g.n)]
@@ -176,8 +159,6 @@ def _shortest_odd_walk_unit(adj, start):
     """BFS in the parity double cover; returns a shortest closed walk with an
     odd number of negative edges through start, as (vertices, signs), or
     None."""
-    from collections import deque
-
     source = (start, 0)
     target = (start, 1)
     prev = {source: None}
@@ -280,13 +261,12 @@ def initial_formulation(g: SignedGraph):
             push(Cut.make({v: 1.0 for v in members}, 1.0, CLIQUE))
 
     # (b) one shortest odd negative closed walk per vertex, capped at 2n rows
-    adj = _signed_adjacency(g)
     cycle_rows = 0
     seen_cycles = set()
     for v in range(g.n):
         if cycle_rows >= 2 * g.n:
             break
-        found = _shortest_odd_walk_unit(adj, v)
+        found = _shortest_odd_walk_unit(g.signs, v)
         if found is None:
             continue
         vertices, signs = found
@@ -301,10 +281,7 @@ def initial_formulation(g: SignedGraph):
         cycle_rows += 1
 
     # (c) maximal cliques of size >= 3 in the negative-edge graph
-    neg_adj = [set() for _ in range(g.n)]
-    for u, v in g.e_minus:
-        neg_adj[u].add(v)
-        neg_adj[v].add(u)
+    neg_adj = [{v for v, ss in nbrs.items() if NEG in ss} for nbrs in g.signs]
     for clique in _greedy_clique_cover(neg_adj, min_size=3):
         push(Cut.make({v: 1.0 for v in sorted(clique)}, 2.0, NEG_CLIQUE))
 
@@ -491,54 +468,10 @@ def _shortcut_chords(conf, cycle):
 # lifting
 
 
-class _ParityDSU:
-    """Union-find with parity, used to test balanced extensions quickly."""
-
-    def __init__(self):
-        self.parent = {}
-        self.parity = {}
-
-    def find(self, x):
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-            return x, 0
-        path = []
-        p = 0
-        while self.parent[x] != x:
-            path.append(x)
-            p ^= self.parity[x]
-            x = self.parent[x]
-        # path compression
-        acc = p
-        for node in path:
-            old = self.parity[node]
-            self.parent[node] = x
-            self.parity[node] = acc
-            acc ^= old
-        return x, p
-
-    def union(self, a, b, rel) -> bool:
-        """Require parity(a) XOR parity(b) == rel; False on conflict."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
-        if ra == rb:
-            return (pa ^ pb) == rel
-        self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ rel
-        return True
-
-    def copy(self):
-        other = _ParityDSU()
-        other.parent = dict(self.parent)
-        other.parity = dict(self.parity)
-        return other
-
-
 LIFT_BUDGET = 1 << 14
 
 
-def _max_weight_balanced_subset(g_adj, vertices, weights, required, budget=LIFT_BUDGET):
+def _max_weight_balanced_subset(signs, vertices, weights, required, budget=LIFT_BUDGET):
     """max sum(weights[v] for v in S) over balanced S ⊆ vertices, required ∈ S.
 
     Depth-first enumeration with parity-DSU feasibility pruning and an
@@ -555,14 +488,12 @@ def _max_weight_balanced_subset(g_adj, vertices, weights, required, budget=LIFT_
 
     def feasible_add(dsu, selected, v):
         for u in selected:
-            pair = (u, v) if u < v else (v, u)
-            signs = g_adj.get(pair)
-            if signs is None:
+            ss = signs[u].get(v)
+            if ss is None:
                 continue
-            if len(signs) == 2:
+            if len(ss) == 2:
                 return False
-            rel = 1 if NEG in signs else 0
-            if not dsu.union(u, v, rel):
+            if not dsu.union(u, v, 1 if NEG in ss else 0):
                 return False
         return True
 
@@ -589,7 +520,7 @@ def _max_weight_balanced_subset(g_adj, vertices, weights, required, budget=LIFT_
             return True  # the required vertex must be included
         return dfs(i + 1, dsu, selected, total)
 
-    completed = dfs(0, _ParityDSU(), [], 0.0)
+    completed = dfs(0, ParityDSU(), [], 0.0)
     return best, not completed
 
 
@@ -600,9 +531,6 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     the support plus v that contain v.  Candidates in decreasing adjacency to
     the support, ties by index; budget exhaustion skips the candidate.
     """
-    adj_pairs = {}
-    for u, v, s in g.edges:
-        adj_pairs.setdefault((u, v), set()).add(s)
     neighbor_count = {}
     support = {v for v, _ in cut.coeffs}
     for u, v, _ in g.edges:
@@ -620,7 +548,7 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     coeffs = dict(cut.coeffs)
     for v in candidates:
         verts = set(coeffs) | {v}
-        z_star, exhausted = _max_weight_balanced_subset(adj_pairs, verts, coeffs, v)
+        z_star, exhausted = _max_weight_balanced_subset(g.signs, verts, coeffs, v)
         if exhausted:
             continue
         alpha = cut.rhs - (z_star if z_star > float("-inf") else 0.0)
@@ -652,15 +580,14 @@ def rounding_heuristic(g: SignedGraph, y) -> Bipartition:
     exactly.  The first vertex of each component lands on side 1.  A single
     pass is maximal: the constraint set only grows.
     """
-    adj = _signed_adjacency(g)
     order = sorted(range(g.n), key=lambda v: (-y[v], v))
-    dsu = _ParityDSU()
+    dsu = ParityDSU()
     placed = []
     for v in order:
         trial = dsu.copy()
         ok = True
         for u in placed:
-            pair = adj[v].get(u)
+            pair = g.signs[v].get(u)
             if pair is None:
                 continue
             if len(pair) == 2:

@@ -29,7 +29,6 @@ def switch_set_from_forest(t: SignedGraph) -> frozenset:
     (parent label XOR edge-is-negative) is 1.  Iterative, so path graphs of
     any length are fine.
     """
-    adj = t.adjacency()
     label = [None] * t.n
     components = 0
     for root in range(t.n):
@@ -40,9 +39,9 @@ def switch_set_from_forest(t: SignedGraph) -> frozenset:
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, s in adj[u]:
+            for v, ss in t.signs[u].items():
                 if label[v] is None:
-                    label[v] = label[u] ^ (1 if s == NEG else 0)
+                    label[v] = label[u] ^ (NEG in ss)
                     stack.append(v)
     if t.m != t.n - components:
         raise ValueError("input has a cycle; expected a forest")
@@ -100,10 +99,7 @@ def _one_two_exchange(adj, n, stable):
 def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     """Maximal stable set of h (signs ignored) via randomized construction
     plus (1,2)-exchange local search; best kept over iterations."""
-    adj = [set() for _ in range(h.n)]
-    for u, v, _ in h.edges:
-        adj[u].add(v)
-        adj[v].add(u)
+    adj = [set(nbrs) for nbrs in h.signs]
     rng = random.Random(params.seed)
     deadline = time.monotonic() + params.time_limit_seconds
     best = set()

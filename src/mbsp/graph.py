@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
 
 POS = "+"
 NEG = "-"
@@ -29,27 +30,31 @@ class SignedGraph:
     def m(self) -> int:
         return len(self.edges)
 
-    @property
+    @cached_property
     def e_plus(self) -> frozenset:
         return self._signed_pairs(POS)
 
-    @property
+    @cached_property
     def e_minus(self) -> frozenset:
         return self._signed_pairs(NEG)
 
-    @property
+    @cached_property
     def e_parallel(self) -> frozenset:
         return self.e_plus & self.e_minus
 
     def _signed_pairs(self, sign):
         return frozenset((u, v) for u, v, s in self.edges if s == sign)
 
-    def adjacency(self):
-        """adj[v] = list of (neighbor, sign), in edge input order."""
-        adj = [[] for _ in range(self.n)]
+    @cached_property
+    def signs(self) -> tuple:
+        """signs[u] = {v: frozenset of the signs on pair uv}; read-only.
+
+        Neighbors appear in the order of their first edge in `edges`, which
+        fixes the traversal order of every search over the adjacency.
+        """
+        adj = tuple({} for _ in range(self.n))
         for u, v, s in self.edges:
-            adj[u].append((v, s))
-            adj[v].append((u, s))
+            adj[u][v] = adj[v][u] = adj[u].get(v, frozenset()) | {s}
         return adj
 
 
@@ -58,6 +63,8 @@ def build(n, edge_list) -> SignedGraph:
 
     Identical (pair, sign) entries are deduplicated silently; loops raise.
     """
+    if n < 0:
+        raise GraphError(f"negative vertex count {n}")
     seen = set()
     edges = []
     for u, v, s in edge_list:
@@ -106,31 +113,85 @@ def negative_part(g: SignedGraph) -> SignedGraph:
     return SignedGraph(g.n, tuple(e for e in g.edges if e[2] == NEG))
 
 
-def is_balanced(g: SignedGraph):
+def is_balanced(g: SignedGraph, subset=None):
     """Return a switch set W with switch(g, W) all-positive, or None.
 
-    A graph is balanced iff it has no parallel pair and no cycle with an odd
-    number of negative edges.  BFS label propagation per component, O(n+m).
+    With a vertex subset, tests the subgraph induced by it instead and
+    returns W within the subset.  A graph is balanced iff it has no parallel
+    pair and no cycle with an odd number of negative edges.  BFS label
+    propagation per component from its lowest vertex, which gets label 0;
+    O(n+m).
     """
-    if g.e_parallel:
-        return None
-    adj = g.adjacency()
-    label = [None] * g.n
-    for root in range(g.n):
-        if label[root] is not None:
+    inside = range(g.n) if subset is None else set(subset)
+    label = {}
+    for root in sorted(inside):
+        if root in label:
             continue
         label[root] = 0
         queue = deque([root])
         while queue:
             u = queue.popleft()
-            for v, s in adj[u]:
-                want = label[u] ^ (1 if s == NEG else 0)
-                if label[v] is None:
+            for v, ss in g.signs[u].items():
+                if v not in inside:
+                    continue
+                if len(ss) == 2:
+                    return None
+                want = label[u] ^ (NEG in ss)
+                if v not in label:
                     label[v] = want
                     queue.append(v)
                 elif label[v] != want:
                     return None
-    return frozenset(v for v in range(g.n) if label[v] == 1)
+    return frozenset(v for v, side in label.items() if side == 1)
+
+
+class ParityDSU:
+    """Union-find over vertices with the parity of each vertex to its root.
+
+    Serves balance tests built up one signed edge at a time (rel 1 for a
+    negative edge, 0 for a positive one) and plain connectivity.
+    """
+
+    def __init__(self):
+        self.parent = {}
+        self.parity = {}
+
+    def find(self, x):
+        """(root, parity of x relative to the root); adds x if unseen."""
+        if x not in self.parent:
+            self.parent[x] = x
+            self.parity[x] = 0
+            return x, 0
+        path = []
+        p = 0
+        while self.parent[x] != x:
+            path.append(x)
+            p ^= self.parity[x]
+            x = self.parent[x]
+        # path compression
+        acc = p
+        for node in path:
+            old = self.parity[node]
+            self.parent[node] = x
+            self.parity[node] = acc
+            acc ^= old
+        return x, p
+
+    def union(self, a, b, rel) -> bool:
+        """Require parity(a) XOR parity(b) == rel; False on conflict."""
+        ra, pa = self.find(a)
+        rb, pb = self.find(b)
+        if ra == rb:
+            return (pa ^ pb) == rel
+        self.parent[rb] = ra
+        self.parity[rb] = pa ^ pb ^ rel
+        return True
+
+    def copy(self):
+        other = ParityDSU()
+        other.parent = dict(self.parent)
+        other.parity = dict(self.parity)
+        return other
 
 
 @dataclass(frozen=True)
@@ -168,10 +229,5 @@ def is_feasible(g: SignedGraph, p: Bipartition) -> bool:
         if same and s == NEG:
             return False
         if not same and s == POS:
-            return False
-    # a fully selected parallel pair fails both sign tests above already,
-    # but keep the explicit guard for clarity
-    for u, v in g.e_parallel:
-        if u in sel and v in sel:
             return False
     return True

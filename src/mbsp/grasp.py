@@ -20,46 +20,32 @@ class GraspParams:
             raise ValueError("limits must be positive")
 
 
-def _pair_signs(g: SignedGraph):
-    signs = {}
-    for u, v, s in g.edges:
-        signs.setdefault((u, v), set()).add(s)
-    return signs
+def _admissible(g, p: Bipartition, i, side) -> bool:
+    """Can vertex i join the given side of feasible solution p?
 
-
-def _admissible(g, signs, p: Bipartition, i, side) -> bool:
-    """Can vertex i join the given side of feasible solution p?"""
-    sel1, sel2 = p.v1, p.v2
-    same = sel1 if side == 1 else sel2
-    other = sel2 if side == 1 else sel1
-    for j in same | other:
-        pair = (i, j) if i < j else (j, i)
-        ss = signs.get(pair)
-        if ss is None:
-            continue
-        if len(ss) == 2:  # parallel pair: i and j cannot both be selected
-            return False
-        s = next(iter(ss))
-        if j in same and s == NEG:
-            return False
-        if j in other and s == POS:
+    A neighbor on the same side needs a positive-only pair, one on the other
+    side a negative-only pair; a parallel pair fails both.
+    """
+    same, other = (p.v1, p.v2) if side == 1 else (p.v2, p.v1)
+    for j, ss in g.signs[i].items():
+        if (j in same and NEG in ss) or (j in other and POS in ss):
             return False
     return True
 
 
-def candidates(g: SignedGraph, p: Bipartition, side, signs=None) -> set:
+def candidates(g: SignedGraph, p: Bipartition, side) -> set:
     """Vertices outside p that can feasibly join the given side."""
-    if signs is None:
-        if not is_feasible(g, p):
-            raise GraphError("candidates() requires a feasible solution")
-        signs = _pair_signs(g)
+    if not is_feasible(g, p):
+        raise GraphError("candidates() requires a feasible solution")
+    return _candidates(g, p, side)
+
+
+def _candidates(g, p: Bipartition, side) -> set:
     sel = p.selected
-    return {
-        i for i in range(g.n) if i not in sel and _admissible(g, signs, p, i, side)
-    }
+    return {i for i in range(g.n) if i not in sel and _admissible(g, p, i, side)}
 
 
-def _maximalize(g, signs, p: Bipartition, order=None) -> Bipartition:
+def _maximalize(g, p: Bipartition, order=None) -> Bipartition:
     """Insert admissible vertices until none remains.
 
     With order=None the completion is deterministic: lowest candidate index
@@ -69,8 +55,8 @@ def _maximalize(g, signs, p: Bipartition, order=None) -> Bipartition:
     v1, v2 = set(p.v1), set(p.v2)
     current = Bipartition(frozenset(v1), frozenset(v2))
     while True:
-        c1 = candidates(g, current, 1, signs)
-        c2 = candidates(g, current, 2, signs)
+        c1 = _candidates(g, current, 1)
+        c2 = _candidates(g, current, 2)
         if not c1 and not c2:
             return current
         pool = sorted(c1 | c2) if order is None else [v for v in order if v in c1 | c2]
@@ -85,12 +71,11 @@ def _maximalize(g, signs, p: Bipartition, order=None) -> Bipartition:
 def construct(g: SignedGraph, rng: random.Random) -> Bipartition:
     """Randomized greedy construction: grow (v1, v2) one vertex at a time
     until neither side has a candidate."""
-    signs = _pair_signs(g)
     v1, v2 = set(), set()
     while True:
         p = Bipartition(frozenset(v1), frozenset(v2))
-        c1 = candidates(g, p, 1, signs)
-        c2 = candidates(g, p, 2, signs)
+        c1 = _candidates(g, p, 1)
+        c2 = _candidates(g, p, 2)
         sides = [w for w, c in ((1, c1), (2, c2)) if c]
         if not sides:
             return p
@@ -100,7 +85,7 @@ def construct(g: SignedGraph, rng: random.Random) -> Bipartition:
         (v1 if w == 1 else v2).add(i)
 
 
-def _neighbors_removing(g, signs, p: Bipartition, removed, side):
+def _neighbors_removing(g, p: Bipartition, removed, side):
     """Deterministic completions after removing `removed` from `side`.
 
     For each admissible first insertion j (into the shrunken side or the other
@@ -111,8 +96,8 @@ def _neighbors_removing(g, signs, p: Bipartition, removed, side):
     v2 = set(p.v2)
     (v1 if side == 1 else v2).difference_update(removed)
     base = Bipartition(frozenset(v1), frozenset(v2))
-    c_same = candidates(g, base, side, signs)
-    c_other = candidates(g, base, 2 if side == 1 else 1, signs)
+    c_same = _candidates(g, base, side)
+    c_other = _candidates(g, base, 2 if side == 1 else 1)
     out = []
     for j in sorted(c_same | c_other):
         w1, w2 = set(v1), set(v2)
@@ -120,7 +105,7 @@ def _neighbors_removing(g, signs, p: Bipartition, removed, side):
             (w1 if side == 1 else w2).add(j)
         else:
             (w2 if side == 1 else w1).add(j)
-        out.append(_maximalize(g, signs, Bipartition(frozenset(w1), frozenset(w2))))
+        out.append(_maximalize(g, Bipartition(frozenset(w1), frozenset(w2))))
     return out
 
 
@@ -133,10 +118,9 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
     largest neighbor; (i) is scanned fully before (ii); halts at a local
     optimum (or at the deadline).
     """
-    signs = _pair_signs(g)
     if not is_feasible(g, p):
         raise GraphError("local_search requires a feasible solution")
-    current = _maximalize(g, signs, p)
+    current = _maximalize(g, p)
     while True:
         if deadline is not None and time.monotonic() >= deadline:
             return current
@@ -144,7 +128,7 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
         for side in (1, 2):
             members = sorted(current.v1 if side == 1 else current.v2)
             for i in members:
-                for q in _neighbors_removing(g, signs, current, {i}, side):
+                for q in _neighbors_removing(g, current, {i}, side):
                     if q.size() > best.size():
                         best = q
         if best.size() > current.size():
@@ -155,7 +139,7 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
             for a_idx in range(len(members)):
                 for b_idx in range(a_idx + 1, len(members)):
                     pair = {members[a_idx], members[b_idx]}
-                    for q in _neighbors_removing(g, signs, current, pair, side):
+                    for q in _neighbors_removing(g, current, pair, side):
                         if q.size() > best.size():
                             best = q
             if deadline is not None and time.monotonic() >= deadline:

@@ -7,7 +7,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .graph import NEG, POS, Bipartition, GraphError, SignedGraph, build, induced, is_balanced
+from .graph import NEG, POS, Bipartition, SignedGraph, build, is_balanced
 
 
 def _round_half_up(x):
@@ -118,6 +118,8 @@ def parse_instance(text) -> SignedGraph:
                 n, m_declared = int(parts[2]), int(parts[3])
             except ValueError:
                 raise ParseError(f"malformed header {line!r}", line_no) from None
+            if n < 0 or m_declared < 0:
+                raise ParseError(f"negative count in header {line!r}", line_no)
         elif parts[0] == "e":
             if n is None:
                 raise ParseError("edge before header", line_no)
@@ -144,33 +146,6 @@ def parse_instance(text) -> SignedGraph:
     return build(n, edges)
 
 
-def _balance_witness_on_subset(g, adjacency, subset):
-    """Switch set labels for the induced subgraph, or None if unbalanced.
-
-    Also rejects subsets containing a fully selected parallel pair.
-    """
-    label = {}
-    for root in subset:
-        if root in label:
-            continue
-        label[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, s_set in adjacency[u]:
-                if v not in subset:
-                    continue
-                if len(s_set) == 2:
-                    return None
-                want = label[u] ^ (1 if NEG in s_set else 0)
-                if v not in label:
-                    label[v] = want
-                    stack.append(v)
-                elif label[v] != want:
-                    return None
-    return frozenset(v for v in subset if label[v] == 1)
-
-
 def brute_force(g: SignedGraph):
     """Exact optimum by descending-cardinality subset enumeration.
 
@@ -178,16 +153,10 @@ def brute_force(g: SignedGraph):
     """
     if g.n > 20:
         raise ValueError("brute force capped at n = 20")
-    adjacency = [{} for _ in range(g.n)]
-    for u, v, s in g.edges:
-        adjacency[u].setdefault(v, set()).add(s)
-        adjacency[v].setdefault(u, set()).add(s)
-    adjacency = [sorted((v, frozenset(ss)) for v, ss in d.items()) for d in adjacency]
     vertices = list(range(g.n))
     for k in range(g.n, -1, -1):
         for combo in itertools.combinations(vertices, k):
-            subset = set(combo)
-            w = _balance_witness_on_subset(g, adjacency, subset)
+            w = is_balanced(g, combo)
             if w is not None:
-                return k, Bipartition(frozenset(subset - w), w)
+                return k, Bipartition(frozenset(combo) - w, w)
     return 0, Bipartition()

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import heapq
-import math
 import time
 from dataclasses import dataclass, field
 
 from . import cuts as C
 from . import lp as LP
-from .graph import Bipartition, SignedGraph, induced, is_balanced
+from .graph import Bipartition, SignedGraph, is_balanced
 
 INT_TOL = 1e-6
 BINDING_TOL = 1e-6
@@ -24,7 +23,6 @@ class SolveParams:
     max_cut_rounds: int = 10
     max_cuts_per_round: int = 100
     branching: str = CYCLE  # "cycle" | "standard"
-    seed: int = 0
 
     def __post_init__(self):
         if self.branching not in (CYCLE, STANDARD):
@@ -56,12 +54,10 @@ def _is_integral(y):
 def _decode_integral(g, y):
     """Bipartition for an integral point whose selection is balanced, else None."""
     selected = frozenset(i for i, v in enumerate(y) if v > 0.5)
-    sub, vmap = induced(g, selected)
-    w = is_balanced(sub)
+    w = is_balanced(g, selected)
     if w is None:
         return None
-    w_orig = frozenset(vmap[i] for i in w)
-    return Bipartition(selected - w_orig, w_orig)
+    return Bipartition(selected - w, w)
 
 
 def branch(node: SearchNode, y, active_cuts, mode: str):
@@ -223,13 +219,10 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 break
             new_cuts = C.scan_pool(pool, y, params.max_cuts_per_round)
             if not new_cuts:
-                new_cuts = C.separate_odd_negative_cycle(g, y, params.max_cuts_per_round)
-                lifted = []
-                for cut in new_cuts:
-                    if cut.support_cycle is not None and len(cut.support_cycle) <= 20:
-                        cut = C.lift_odd_negative_cycle(g, cut)
-                    lifted.append(cut)
-                new_cuts = lifted
+                new_cuts = [
+                    C.lift_odd_negative_cycle(g, cut)
+                    for cut in C.separate_odd_negative_cycle(g, y, params.max_cuts_per_round)
+                ]
                 if len(new_cuts) < params.max_cuts_per_round:
                     new_cuts += C.separate_clique(g, y, limit=params.max_cuts_per_round - len(new_cuts))
                 if len(new_cuts) < params.max_cuts_per_round:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .graph import NEG, POS, SignedGraph
+from .graph import NEG, POS, ParityDSU, SignedGraph
 
 
 class TreeStrategy(enum.Enum):
@@ -60,24 +60,6 @@ def edge_cost(g: SignedGraph, e, strategy: TreeStrategy, rng) -> int:
     return cost_pos if e[2] == POS else cost_neg
 
 
-class _UnionFind:
-    def __init__(self, n):
-        self.parent = list(range(n))
-
-    def find(self, x):
-        while self.parent[x] != x:
-            self.parent[x] = self.parent[self.parent[x]]
-            x = self.parent[x]
-        return x
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        self.parent[rb] = ra
-        return True
-
-
 def spanning_forest(g: SignedGraph, strategy: TreeStrategy, rng=None) -> SignedGraph:
     """Spanning forest of g (one tree per component), same vertex set.
 
@@ -89,20 +71,18 @@ def spanning_forest(g: SignedGraph, strategy: TreeStrategy, rng=None) -> SignedG
     if strategy in KRUSKAL_STRATEGIES:
         costed = [(edge_cost(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
         costed.sort(key=lambda t: (t[0], t[1]))
-        uf = _UnionFind(g.n)
-        forest = [e for _, _, e in costed if uf.union(e[0], e[1])]
+        dsu = ParityDSU()  # connectivity only; the parity stays unused
+        forest = []
+        for _, _, e in costed:
+            if dsu.find(e[0])[0] != dsu.find(e[1])[0]:
+                dsu.union(e[0], e[1], 0)
+                forest.append(e)
         return SignedGraph(g.n, tuple(sorted(forest)))
     return _search_forest(g, depth_first=strategy is TreeStrategy.DFS)
 
 
 def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
-    # neighbor -> sign, positive copy wins when the pair is parallel
-    best_sign = [dict() for _ in range(g.n)]
-    for u, v, s in g.edges:
-        for a, b in ((u, v), (v, u)):
-            if best_sign[a].get(b) != POS:
-                best_sign[a][b] = s if best_sign[a].get(b) is None else POS
-    neighbors = [sorted(d) for d in best_sign]
+    neighbors = [sorted(d) for d in g.signs]
 
     visited = [False] * g.n
     forest = []
@@ -110,7 +90,9 @@ def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
     def take(parent, v):
         visited[v] = True
         if parent is not None:
-            forest.append((min(parent, v), max(parent, v), best_sign[parent][v]))
+            # the positive copy of a parallel pair goes into the tree
+            sign = POS if POS in g.signs[parent][v] else NEG
+            forest.append((min(parent, v), max(parent, v), sign))
 
     for root in range(g.n):
         if visited[root]:

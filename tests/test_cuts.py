@@ -201,14 +201,11 @@ def test_lifting_preserves_validity_and_strengthens():
 def test_max_weight_balanced_subset_against_enumeration():
     for seed in range(6):
         g = I.generate(I.RandomSpec(7, 0.7, seed=seed, parallel_frac=0.25))
-        pairs = {}
-        for u, v, s in g.edges:
-            pairs.setdefault((u, v), set()).add(s)
         vertices = list(range(g.n))
         rng = random.Random(seed)
         weights = {v: rng.randint(0, 3) for v in vertices}
         best, exhausted = C._max_weight_balanced_subset(
-            pairs, vertices, weights, required=0, budget=C.LIFT_BUDGET
+            g.signs, vertices, weights, required=0, budget=C.LIFT_BUDGET
         )
         assert not exhausted
         expect = float("-inf")

@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -47,6 +48,8 @@ def test_build_rejects_bad_input():
         G.build(2, [(0, 2, "+")])
     with pytest.raises(G.GraphError):
         G.build(2, [(0, 1, "x")])
+    with pytest.raises(G.GraphError):
+        G.build(-2, [])
     # same-sign duplicates collapse silently
     assert G.build(2, [(0, 1, "+"), (1, 0, "+")]).m == 1
 
@@ -120,6 +123,30 @@ def test_is_balanced_agrees_with_switch_enumeration(g):
         for w in itertools.combinations(range(g.n), k)
     )
     assert (G.is_balanced(g) is not None) == balanced
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graph_strategy(), st.data())
+def test_cached_structure_matches_edges(g, data):
+    # the cached adjacency and edge classes agree with a rebuild from edges,
+    # also after a pickle round trip
+    for h in (g, pickle.loads(pickle.dumps(g))):
+        signs = [{} for _ in range(h.n)]
+        for u, v, s in h.edges:
+            signs[u].setdefault(v, set()).add(s)
+            signs[v].setdefault(u, set()).add(s)
+        assert [list(d.items()) for d in h.signs] == [
+            [(v, frozenset(ss)) for v, ss in d.items()] for d in signs
+        ]
+        plus = {(u, v) for u, v, s in h.edges if s == G.POS}
+        minus = {(u, v) for u, v, s in h.edges if s == G.NEG}
+        assert (h.e_plus, h.e_minus, h.e_parallel) == (plus, minus, plus & minus)
+    # the subset balance check is the induced-subgraph check, mapped back
+    subset = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
+    sub, vmap = G.induced(g, subset)
+    w = G.is_balanced(sub)
+    expect = None if w is None else frozenset(vmap[i] for i in w)
+    assert G.is_balanced(g, subset) == expect
 
 
 def test_bipartition_validates_disjointness():

@@ -30,9 +30,8 @@ def test_construct_is_feasible_and_maximal():
         rng = random.Random(seed)
         p = GR.construct(g, rng)
         assert G.is_feasible(g, p)
-        signs = GR._pair_signs(g)
-        assert not GR.candidates(g, p, 1, signs)
-        assert not GR.candidates(g, p, 2, signs)
+        assert not GR.candidates(g, p, 1)
+        assert not GR.candidates(g, p, 2)
 
 
 def test_local_search_never_shrinks():

@@ -106,6 +106,8 @@ def test_parse_accepts_comments_and_blank_lines():
         "p mbsp 3 2\ne 1 2 +\n",  # edge count mismatch
         "p mbsp x 1\ne 1 2 +\n",  # bad header
         "p mbsp 3 1\nq 1 2 +\n",  # unknown record
+        "p mbsp -1 0\n",  # negative vertex count
+        "p mbsp 3 -1\n",  # negative edge count
     ],
 )
 def test_parse_rejects_malformed(text):

@@ -1,8 +1,10 @@
 import random
+import time
 
 import pytest
 
 from mbsp import graph as G
+from mbsp import instances as I
 from mbsp import spanning as SP
 
 
@@ -48,6 +50,17 @@ def test_spanning_forest_is_spanning_acyclic(strategy):
     assert len(pairs) == SAMPLE.n - base  # tree edge count per component
     assert components(SAMPLE.n, pairs) == base
     assert pairs <= {(u, v) for u, v, _ in SAMPLE.edges}
+
+
+def test_all_strategies_scale_to_dense_graphs():
+    # group 2, n = 200, d = 0.5: m = 12438 signed edges; Kruskal costs each
+    # edge once, so every forest stays far below quadratic time
+    g = I.generate(I.RandomSpec(200, 0.5, seed=1, parallel_frac=0.25))
+    start = time.perf_counter()
+    for strategy in SP.TreeStrategy:
+        t = SP.spanning_forest(g, strategy, random.Random(0))
+        assert t.m == g.n - 1  # dense enough to be connected
+    assert time.perf_counter() - start < 10.0
 
 
 def test_forest_on_disconnected_graph():
