@@ -13,7 +13,7 @@ from . import instances as INST
 from . import solver as BC
 from .ggmz import StableSetParams, ggmz
 from .grasp import GraspParams, grasp
-from .graph import is_balanced
+from .graph import GraphError, is_balanced
 from .spanning import TreeStrategy
 
 
@@ -294,7 +294,14 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     if getattr(args, "method", None) is None and args.command == "bench":
         args.method = ["bc"]
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (INST.ParseError, GraphError) as exc:
+        if not hasattr(args, "instance"):
+            raise
+        # 2, because `check` already exits 1 for "unbalanced"
+        print(f"mbsp: error: {args.instance}: {exc}", file=sys.stderr)
+        return 2
 
 
 def main():

@@ -51,7 +51,7 @@ def switch_set_from_forest(t: SignedGraph) -> frozenset:
 def _greedy_stable_set(adj, n, rng, alpha):
     """Randomized degree-greedy construction of a maximal stable set."""
     alive = set(range(n))
-    degree = {v: len(adj[v] & alive) for v in alive}
+    degree = {v: len(adj[v]) for v in alive}  # live neighbours
     chosen = []
     while alive:
         lo = min(degree[v] for v in alive)
@@ -62,8 +62,9 @@ def _greedy_stable_set(adj, n, rng, alpha):
         chosen.append(v)
         removed = (adj[v] & alive) | {v}
         alive -= removed
-        for u in alive:
-            degree[u] = len(adj[u] & alive)
+        for w in removed:
+            for u in adj[w] & alive:
+                degree[u] -= 1
     return set(chosen)
 
 

@@ -1,25 +1,42 @@
-"""Bounded-variable primal simplex for the solver's LP relaxations.
+"""Bounded dual simplex for the solver's LP relaxations.
 
-Dense two-phase tableau method: phase 1 with artificial variables, Dantzig
-pricing with a Bland's-rule fallback after a run of degenerate pivots.
-Maximization throughout.
+One dense-tableau dual simplex, maximizing.  Every structural is box-bounded,
+so a cold start is always dual feasible, and no phase 1 is needed: the slack
+basis with each structural at the bound its objective coefficient favours.
+
+A warm start takes the statuses of an earlier optimal basis
+(`LpSolution.basis`).  Adding rows whose slacks start basic, deleting rows
+whose slacks are basic, and tightening or fixing bounds all leave that basis
+dual feasible, so the dual simplex only has to repair primal infeasibility.
+The tableau is factored once per solve from the original columns, so no
+drift carries over from earlier solves.  An unusable start falls back to a
+cold solve.
+
+Pricing is dual Dantzig (most infeasible row, then the ratio test broken by
+the largest pivot), with Bland's rule after a run of degenerate pivots; see
+Koberstein (2005), *The dual simplex method, techniques for a fast and stable
+implementation*.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 FEAS_TOL = 1e-7  # row / bound feasibility
 OPT_TOL = 1e-9  # reduced-cost optimality
+PIVOT_TOL = 1e-9  # smallest usable pivot
 _INF = float("inf")
 
 LE, EQ, GE = "<=", "=", ">="
+LOWER, UPPER, BASIC = 0, 1, 2  # variable statuses
 
 
 class NumericalError(RuntimeError):
-    """Simplex iteration cap exceeded; distinct from infeasibility."""
+    """Simplex iteration cap exceeded or dual feasibility lost; distinct from
+    infeasibility."""
 
 
 @dataclass
@@ -46,212 +63,170 @@ class LinearProgram:
         self.rows.append((dict(coeffs), rel, rhs))
 
 
+class Basis(NamedTuple):
+    """Statuses (LOWER, UPPER or BASIC) of a basis, for a warm start."""
+
+    cols: tuple  # one per structural
+    rows: tuple  # one per row's slack; None marks a new row, whose slack starts basic
+
+
 @dataclass
 class LpSolution:
     status: str  # "optimal" | "infeasible"
     values: np.ndarray = None
     objective_value: float = None
+    basis: Basis = None  # final statuses when optimal
+    pivots: int = 0
+    cold_start: bool = True
 
 
-def solve(lp: LinearProgram) -> LpSolution:
-    """Solve lp from scratch."""
-    return _Simplex(lp).run()
+def solve(lp: LinearProgram, start: Basis = None) -> LpSolution:
+    """Solve lp, warm from `start` when it is a usable basis, else cold."""
+    if start is not None:
+        try:
+            sol = _dual_simplex(lp, start)
+        except NumericalError:
+            sol = None
+        if sol is not None:
+            return sol
+    return _dual_simplex(lp, None)
 
 
 def add_rows_and_resolve(lp: LinearProgram, sol: LpSolution, new_rows) -> LpSolution:
-    """Solve lp extended with new_rows.
+    """Solve lp extended with new_rows, warm from sol's basis.
 
-    Contract is result equivalence with a cold solve; the previous solution
-    is accepted for interface symmetry but the implementation resolves from
-    scratch (the LPs at play are small).
+    The new rows' slacks join the basis, so the previous optimal basis stays
+    dual feasible and only the rows it violates need pivots.
     """
     extended = LinearProgram(
         list(lp.objective), list(lp.rows) + [(dict(c), rel, r) for c, rel, r in new_rows],
         list(lp.bounds),
     )
-    return solve(extended)
+    start = None
+    if sol.basis is not None:
+        start = Basis(sol.basis.cols, tuple(sol.basis.rows) + (None,) * len(new_rows))
+    return solve(extended, start)
 
 
-class _Simplex:
-    def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = lp.n
-        m = len(lp.rows)
-        # columns: structural | slacks | artificials (added as needed)
-        ncols = n + m
-        A = np.zeros((m, ncols))
-        b = np.zeros(m)
-        lo = np.empty(ncols)
-        hi = np.empty(ncols)
-        lo[:n] = [bb[0] for bb in lp.bounds]
-        hi[:n] = [bb[1] for bb in lp.bounds]
-        for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-            for j, a in coeffs.items():
-                A[i, j] += a
-            b[i] = rhs
-            s = n + i
-            A[i, s] = 1.0
-            if rel == LE:
-                lo[s], hi[s] = 0.0, _INF
-            elif rel == GE:
-                lo[s], hi[s] = -_INF, 0.0
-            elif rel == EQ:
-                lo[s], hi[s] = 0.0, 0.0
-            else:
-                raise ValueError(f"bad relation {rel!r}")
-        self.n, self.m, self.A, self.b, self.lo, self.hi = n, m, A, b, lo, hi
-        self.max_iters = max(200, 50 * (m + ncols))
+def _dual_simplex(lp: LinearProgram, start):
+    """Run the dual simplex from start, or from the slack basis when start is
+    None (B = I, so no factoring); None if start is unusable."""
+    n, m = lp.n, len(lp.rows)
+    ncols = n + m
+    # columns: structurals | slacks, with a.y + s = b
+    A = np.zeros((m, ncols))
+    b = np.zeros(m)
+    lo = np.zeros(ncols)
+    hi = np.zeros(ncols)
+    lo[:n] = [bb[0] for bb in lp.bounds]
+    hi[:n] = [bb[1] for bb in lp.bounds]
+    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
+        for j, a in coeffs.items():
+            A[i, j] += a
+        b[i] = rhs
+        A[i, n + i] = 1.0
+        if rel == LE:
+            hi[n + i] = _INF
+        elif rel == GE:
+            lo[n + i] = -_INF
+        elif rel != EQ:
+            raise ValueError(f"bad relation {rel!r}")
+    c = np.zeros(ncols)
+    c[:n] = lp.objective
 
-    def run(self) -> LpSolution:
-        n, m, A, b = self.n, self.m, self.A, self.b
-        lo, hi = self.lo, self.hi
-        ncols = A.shape[1]
+    if start is None:
+        status = np.full(ncols, BASIC)
+        status[:n] = np.where(c[:n] > 0, UPPER, LOWER)
+    else:
+        if len(start.cols) != n or len(start.rows) != m:
+            return None
+        status = np.array(list(start.cols) + [BASIC if s is None else s for s in start.rows])
+    basis = np.nonzero(status == BASIC)[0]
+    if basis.size != m:
+        return None
+    # a nonbasic slack sits at its one finite bound, 0
+    at_upper = status == UPPER
+    at_upper[n:] = np.isinf(lo[n:])
+    movable = (status != BASIC) & (hi > lo)
 
-        # nonbasic start: structural at lower bound, slacks clamped into range
-        at_upper = np.zeros(ncols, dtype=bool)
-        x = np.where(np.isfinite(lo), lo, 0.0)
-        residual = b - A[:, :n] @ x[:n]
-        basis = np.empty(m, dtype=int)
-        art_cols = []
-        art_rows = []
-        for i in range(m):
-            s = n + i
-            r = residual[i]
-            if lo[s] - FEAS_TOL <= r <= hi[s] + FEAS_TOL:
-                basis[i] = s
-                x[s] = r
-            else:
-                x[s] = lo[s] if r < lo[s] else hi[s]
-                if not np.isfinite(x[s]):
-                    x[s] = 0.0
-                at_upper[s] = r > hi[s]
-                art_rows.append(i)
-                art_cols.append(ncols + len(art_cols))
-        if art_cols:
-            extra = np.zeros((m, len(art_cols)))
-            A = np.hstack([A, extra])
-            lo = np.concatenate([lo, np.zeros(len(art_cols))])
-            hi = np.concatenate([hi, np.full(len(art_cols), _INF)])
-            x = np.concatenate([x, np.zeros(len(art_cols))])
-            at_upper = np.concatenate([at_upper, np.zeros(len(art_cols), dtype=bool)])
-            for i, col in zip(art_rows, art_cols):
-                gap = residual[i] - x[n + i]
-                A[i, col] = 1.0 if gap >= 0 else -1.0
-                x[col] = abs(gap)
-                basis[i] = col
+    tab = np.zeros((m + 1, ncols + 1))  # [B^-1 A | x_B] over [reduced costs | -]
+    if start is None:
+        tab[:m, :ncols] = A
+        tab[:m, -1] = b
+        tab[m, :ncols] = c
+    else:
+        try:
+            tab[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+        except np.linalg.LinAlgError:
+            return None
+        if not np.isfinite(tab).all() or np.abs(tab[:m, basis] - np.eye(m)).max(initial=0.0) > 1e-9:
+            return None
+        tab[m, :ncols] = c - c[basis] @ tab[:m, :ncols]
+        tab[m, basis] = 0.0
+        # a structural whose reduced cost favours its other bound moves there;
+        # a slack cannot, so that start is unusable
+        d = tab[m, :ncols]
+        wrong = movable & np.where(at_upper, d < -OPT_TOL, d > OPT_TOL)
+        if wrong[n:].any():
+            return None
+        at_upper[wrong] = ~at_upper[wrong]
+    x = np.where(at_upper, hi, lo)
+    x[basis] = 0.0
+    tab[:m, -1] -= tab[:m, :ncols] @ x
 
-        self.A_full, self.lo, self.hi = A, lo, hi
-        # last tableau column carries B^-1 b, kept in sync by the pivots
-        self.tableau = np.hstack([A, b.reshape(-1, 1)])
-        # rows whose artificial entered with coefficient -1 must be negated so
-        # the starting basis columns form an identity in the tableau
-        for i, col in zip(art_rows, art_cols):
-            if A[i, col] < 0:
-                self.tableau[i] *= -1.0
-        self.x = x
-        self.at_upper = at_upper
-        self.basis = basis
-        self.is_basic = np.zeros(A.shape[1], dtype=bool)
-        self.is_basic[basis] = True
-        self.iters = 0
+    max_pivots = max(200, 50 * (m + ncols))
+    bland_after = 3 * max(1, ncols)
+    pivots = degenerate = 0
+    while True:
+        xb = tab[:m, -1]
+        infeas = np.maximum(lo[basis] - xb, xb - hi[basis])
+        rows = np.nonzero(infeas > FEAS_TOL)[0]
+        if rows.size == 0:
+            break
+        bland = degenerate >= bland_after
+        r = int(rows[np.argmin(basis[rows])] if bland else rows[np.argmax(infeas[rows])])
+        leave = basis[r]
+        raise_leaving = xb[r] < lo[leave]
+        alpha = tab[r, :ncols] if raise_leaving else -tab[r, :ncols]
+        # entering candidates move the leaving variable towards its bound
+        cand = np.nonzero(movable & np.where(at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL))[0]
+        if cand.size == 0:
+            return LpSolution(status="infeasible", pivots=pivots, cold_start=start is None)
+        ratios = np.maximum(tab[m, cand] / alpha[cand], 0.0)
+        t = ratios.min()
+        ties = cand[ratios <= t + 1e-12]
+        q = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
+        degenerate = degenerate + 1 if t <= 1e-12 else 0
 
-        if art_cols:
-            c1 = np.zeros(A.shape[1])
-            c1[art_cols] = -1.0  # maximize -(sum of artificials)
-            self._optimize(c1)
-            self._refresh_basic_values()
-            if sum(self.x[j] for j in art_cols) > 1e-6:
-                return LpSolution(status="infeasible")
-            # freeze artificials at zero for phase 2
-            self.lo[art_cols] = 0.0
-            self.hi[art_cols] = 0.0
-            self.x[art_cols] = np.clip(self.x[art_cols], 0.0, 0.0)
+        pivots += 1
+        if pivots > max_pivots:
+            raise NumericalError("simplex iteration cap exceeded")
+        x_enter = hi[q] if at_upper[q] else lo[q]
+        col = tab[:, q].copy()
+        tab[r] /= col[r]
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        # x_B was B^-1 (b - A_N x_N) for the old nonbasic set
+        x_leave = lo[leave] if raise_leaving else hi[leave]
+        tab[:m, -1] -= tab[:m, leave] * x_leave
+        tab[r, -1] += x_enter
+        at_upper[leave] = not raise_leaving
+        basis[r] = q
+        movable[leave], movable[q] = hi[leave] > lo[leave], False
 
-        c2 = np.zeros(A.shape[1])
-        c2[:n] = self.lp.objective
-        self._optimize(c2)
-        self._refresh_basic_values()
-        values = self.x[:n].copy()
-        return LpSolution(
-            status="optimal", values=values, objective_value=float(c2[:n] @ values)
-        )
-
-    def _refresh_basic_values(self):
-        """Recompute basic values from the tableau to shed incremental drift."""
-        nonbasic = ~self.is_basic
-        xn = np.where(self.at_upper[: self.is_basic.size], self.hi, self.lo)
-        xn = np.where(np.isfinite(xn), xn, 0.0)
-        xn[self.is_basic] = 0.0
-        xb = self.tableau[:, -1] - self.tableau[:, :-1][:, nonbasic] @ xn[nonbasic]
-        self.x[nonbasic] = xn[nonbasic]
-        self.x[self.basis] = xb
-
-    def _optimize(self, c):
-        tab = self.tableau
-        lo, hi = self.lo, self.hi
-        x, at_upper, basis = self.x, self.at_upper, self.basis
-        m = self.m
-        degenerate_run = 0
-        bland_threshold = 3 * max(1, tab.shape[1])
-        fixed = hi - lo <= FEAS_TOL
-        while True:
-            self.iters += 1
-            if self.iters > self.max_iters:
-                raise NumericalError("simplex iteration cap exceeded")
-            d = c - c[basis] @ tab[:, :-1]
-            d[self.is_basic] = 0.0
-            up_ok = (~self.is_basic) & (~at_upper) & (~fixed) & (d > OPT_TOL)
-            dn_ok = (~self.is_basic) & at_upper & (~fixed) & (d < -OPT_TOL)
-            improving = np.nonzero(up_ok | dn_ok)[0]
-            if improving.size == 0:
-                return
-            if degenerate_run >= bland_threshold:
-                j = int(improving[0])
-            else:
-                j = int(improving[np.argmax(np.abs(d[improving]))])
-            direction = 1.0 if not at_upper[j] else -1.0
-
-            # step limits: entering's own span, then each basic variable
-            span = hi[j] - lo[j]
-            limit_row = -1
-            delta = direction * tab[:m, j]
-            pos = delta > FEAS_TOL
-            neg = delta < -FEAS_TOL
-            room = np.full(m, _INF)
-            xb = x[basis]
-            room[pos] = np.maximum(xb[pos] - lo[basis[pos]], 0.0)
-            room[neg] = np.maximum(hi[basis[neg]] - xb[neg], 0.0)
-            eligible = pos | neg
-            t_rows = np.full(m, _INF)
-            np.divide(room, np.abs(delta), out=t_rows, where=eligible)
-            t_rows[~np.isfinite(room)] = _INF
-            t_min = t_rows.min() if m else _INF
-            if t_min < span - 1e-12:
-                ties = np.nonzero(t_rows <= t_min + 1e-12)[0]
-                limit_row = int(ties[np.argmin(basis[ties])])
-                t_max = t_min
-            else:
-                t_max = span
-            if not np.isfinite(t_max):
-                raise NumericalError("unbounded LP; MBSP relaxations are box-bounded")
-            t_max = max(t_max, 0.0)
-            degenerate_run = degenerate_run + 1 if t_max <= FEAS_TOL else 0
-
-            # apply the step
-            x[basis] -= delta * t_max
-            x[j] += direction * t_max
-            if limit_row < 0:
-                at_upper[j] = ~at_upper[j]
-                continue
-            leaving = basis[limit_row]
-            piv = tab[limit_row, j]
-            tab[limit_row] = tab[limit_row] / piv
-            colj = tab[:, j].copy()
-            colj[limit_row] = 0.0
-            tab -= np.outer(colj, tab[limit_row])
-            # clamp the leaving variable onto the bound it hit
-            x[leaving] = lo[leaving] if delta[limit_row] > 0 else hi[leaving]
-            at_upper[leaving] = delta[limit_row] < 0
-            basis[limit_row] = j
-            self.is_basic[leaving] = False
-            self.is_basic[j] = True
+    d = c - c[basis] @ tab[:m, :ncols]
+    if (movable & np.where(at_upper, d < -OPT_TOL, d > OPT_TOL)).any():
+        raise NumericalError("reduced costs lost dual feasibility")
+    x = np.where(at_upper, hi, lo)
+    x[basis] = tab[:m, -1]
+    status = np.where(at_upper, UPPER, LOWER)
+    status[basis] = BASIC
+    values = x[:n]
+    return LpSolution(
+        status="optimal",
+        values=values,
+        objective_value=float(c[:n] @ values),
+        basis=Basis(tuple(status[:n].tolist()), tuple(status[n:].tolist())),
+        pivots=pivots,
+        cold_start=start is None,
+    )

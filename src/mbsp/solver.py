@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import cuts as C
 from . import lp as LP
@@ -36,6 +36,7 @@ class SearchNode:
     bound: float
     depth: int
     cuts: tuple  # inherited cuts beyond the initial formulation
+    basis: tuple = None  # (column statuses, {row key: status} of nonbasic rows)
 
 
 @dataclass
@@ -60,6 +61,11 @@ def _decode_integral(g, y):
     return Bipartition(selected - w, w)
 
 
+def _row_key(row):
+    coeffs, _, rhs = row
+    return (tuple(sorted(coeffs.items())), rhs)
+
+
 def branch(node: SearchNode, y, active_cuts, mode: str):
     """Create 2 or 3 children partitioning the node's integral region."""
     frac = [i for i, v in enumerate(y) if INT_TOL < v < 1.0 - INT_TOL]
@@ -80,47 +86,38 @@ def branch(node: SearchNode, y, active_cuts, mode: str):
         if candidates:
             cycle = min(candidates, key=lambda c: (len(c), c))
 
+    def child(fixings, rows):
+        # children inherit the node's bound, cuts and basis
+        return replace(node, fixings=fixings, extra_rows=list(rows), depth=node.depth + 1)
+
     children = []
     if cycle is None:
         i = min(frac, key=lambda v: (abs(y[v] - 0.5), v))
         for val in (0, 1):
-            fixings = dict(node.fixings)
-            fixings[i] = val
-            children.append(
-                SearchNode(fixings, list(node.extra_rows), node.bound, node.depth + 1, node.cuts)
-            )
+            children.append(child({**node.fixings, i: val}, node.extra_rows))
         return children
 
     frac_in_cycle = [v for v in cycle if INT_TOL < y[v] < 1.0 - INT_TOL]
     i_star = min(frac_in_cycle, key=lambda v: (abs(y[v] - 0.5), v))
     c2 = [v for v in cycle if v != i_star]
     row = ({v: 1.0 for v in c2}, "<=", float(len(c2) - 1))
+    # two cycles sharing C2 give the same row; the node may already have it
+    rows = list(node.extra_rows)
+    if row not in rows:
+        rows.append(row)
 
     # (i) i* out, all of C2 in
     if not any(node.fixings.get(v) == 0 for v in c2):
-        fixings = dict(node.fixings)
-        fixings[i_star] = 0
-        for v in c2:
-            fixings[v] = 1
-        children.append(
-            SearchNode(fixings, list(node.extra_rows), node.bound, node.depth + 1, node.cuts)
-        )
+        children.append(child({**node.fixings, i_star: 0, **{v: 1 for v in c2}}, node.extra_rows))
     # (ii) i* in, C2 not all in
-    fixings = dict(node.fixings)
-    fixings[i_star] = 1
-    children.append(
-        SearchNode(fixings, list(node.extra_rows) + [row], node.bound, node.depth + 1, node.cuts)
-    )
+    children.append(child({**node.fixings, i_star: 1}, rows))
     # (iii) i* out, C2 not all in
-    fixings = dict(node.fixings)
-    fixings[i_star] = 0
-    children.append(
-        SearchNode(fixings, list(node.extra_rows) + [row], node.bound, node.depth + 1, node.cuts)
-    )
+    children.append(child({**node.fixings, i_star: 0}, rows))
     return children
 
 
 def _build_lp(g, active_cuts, node: SearchNode):
+    """The node's LP and a key per row: a cut's key, or a branching row's."""
     bounds = []
     for i in range(g.n):
         fx = node.fixings.get(i)
@@ -130,7 +127,8 @@ def _build_lp(g, active_cuts, node: SearchNode):
             bounds.append((float(fx), float(fx)))
     rows = [cut.row() for cut in active_cuts]
     rows.extend(node.extra_rows)
-    return LP.LinearProgram([1.0] * g.n, rows, bounds)
+    keys = [cut.key for cut in active_cuts] + [_row_key(row) for row in node.extra_rows]
+    return LP.LinearProgram([1.0] * g.n, rows, bounds), keys
 
 
 def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
@@ -140,7 +138,10 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     start = time.monotonic()
     deadline = start + params.time_limit_seconds
 
-    stats = {"nodes": 0, "lp_solves": 0, "cuts_by_kind": {}, "wall_time": 0.0}
+    stats = {
+        "nodes": 0, "lp_solves": 0, "lp_pivots": 0, "lp_cold_starts": 0,
+        "cuts_by_kind": {}, "wall_time": 0.0,
+    }
 
     if g.n == 0:
         return SolveResult(Bipartition(), 0, 0.0, "optimal", stats)
@@ -185,13 +186,26 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         prev_bound = None
         prune = False
         timed_out = False
+        # every LP starts from the last optimal basis, the parent's at first;
+        # rows the basis does not name are new or had basic slacks
+        basis = node.basis
         while True:
-            lp_ = _build_lp(g, active_cuts, node)
-            sol = LP.solve(lp_)
+            lp_, keys = _build_lp(g, active_cuts, node)
+            warm = None
+            if basis is not None:
+                cols, nonbasic_rows = basis
+                warm = LP.Basis(cols, tuple(nonbasic_rows.get(k) for k in keys))
+            sol = LP.solve(lp_, warm)
             stats["lp_solves"] += 1
+            stats["lp_pivots"] += sol.pivots
+            stats["lp_cold_starts"] += sol.cold_start
             if sol.status != "optimal":
                 prune = True
                 break
+            basis = (
+                sol.basis.cols,
+                {k: s for k, s in zip(keys, sol.basis.rows) if s != LP.BASIC},
+            )
             bound = sol.objective_value
             y = sol.values
             if bound <= lb + 1 - INT_TOL:
@@ -260,7 +274,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # children inherit only the cuts still doing work at this node's point;
         # anything dropped stays in the pool and can return via scan_pool
         tight = tuple(cut for cut in active_cuts if cut.violation(y) >= -0.01)
-        node = SearchNode(node.fixings, node.extra_rows, bound, node.depth, tight)
+        node = SearchNode(node.fixings, node.extra_rows, bound, node.depth, tight, basis)
 
         if _is_integral(y):
             # unbalanced integral point survived the cut loop: branch cannot

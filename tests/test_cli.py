@@ -70,6 +70,22 @@ def test_check_unbalanced(tmp_path, capsys):
     assert out.startswith("unbalanced")
 
 
+@pytest.mark.parametrize(
+    "text", ["p mbsp -1 0\n", "p mbsp 3 1\ne 1 4 +\n"], ids=["negative-n", "vertex-out-of-range"]
+)
+@pytest.mark.parametrize(
+    "args", [["check"], ["heuristic", "--method", "ggmz"], ["solve"]], ids=lambda a: a[0]
+)
+def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, text, args):
+    path = tmp_path / "bad.mbsp"
+    path.write_text(text)
+    code, out, err = run_cli(args[:1] + [str(path)] + args[1:], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"mbsp: error: {path}: line ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_heuristic_grasp_json(tmp_path, capsys):
     path = tmp_path / "h.mbsp"
     g = I.generate(I.RandomSpec(12, 0.5, seed=2, parallel_frac=0.5))

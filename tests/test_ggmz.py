@@ -1,4 +1,6 @@
 import itertools
+import random
+
 import pytest
 
 import importlib
@@ -95,3 +97,30 @@ def test_ggmz_deterministic_per_seed():
     a = GZ.ggmz(g, SP.TreeStrategy.KRUSKAL_RANDOM, GZ.StableSetParams(seed=9))
     b = GZ.ggmz(g, SP.TreeStrategy.KRUSKAL_RANDOM, GZ.StableSetParams(seed=9))
     assert a == b
+
+
+def _greedy_stable_set_reference(adj, n, rng, alpha):
+    """Degree-greedy construction that recounts every live degree per pick."""
+    alive = set(range(n))
+    degree = {v: len(adj[v] & alive) for v in alive}
+    chosen = []
+    while alive:
+        lo = min(degree[v] for v in alive)
+        hi = max(degree[v] for v in alive)
+        rcl = sorted(v for v in alive if degree[v] <= lo + alpha * (hi - lo))
+        v = rng.choice(rcl)
+        chosen.append(v)
+        alive -= (adj[v] & alive) | {v}
+        for u in alive:
+            degree[u] = len(adj[u] & alive)
+    return set(chosen)
+
+
+def test_greedy_stable_set_matches_recounting_reference():
+    for seed in range(20):
+        g = I.generate(I.RandomSpec(30, 0.3, seed=seed, neg_ratio=1.0))
+        adj = [set(nbrs) for nbrs in G.negative_part(g).signs]
+        for draw in range(5):
+            got = GZ._greedy_stable_set(adj, g.n, random.Random(draw), 0.3)
+            want = _greedy_stable_set_reference(adj, g.n, random.Random(draw), 0.3)
+            assert got == want

@@ -149,12 +149,52 @@ def test_cycle_branching_partitions_region():
     assert checked >= 1
 
 
+def test_cycle_branching_adds_no_duplicate_row():
+    checked = 0
+    for seed in range(10):
+        g = I.generate(I.RandomSpec(8, 0.7, seed=seed, neg_ratio=2.0))
+        probe = C.separate_odd_negative_cycle(g, [0.9] * g.n)
+        cycles = [c.support_cycle for c in probe if c.support_cycle]
+        if not cycles:
+            continue
+        y = [0.0] * g.n
+        for v in cycles[0]:
+            y[v] = (len(cycles[0]) - 1) / len(cycles[0])
+        binding = [c for c in probe if c.support_cycle and abs(c.violation(y)) <= S.BINDING_TOL]
+        if not binding:
+            continue
+        # a node that already carries the row of the cycle it branches on,
+        # as after branching on another cycle with the same C2
+        (row,) = S.branch(S.SearchNode({}, [], float(g.n), 0, ()), y, binding, "cycle")[-1].extra_rows
+        node = S.SearchNode({}, [row], float(g.n), 1, ())
+        children = S.branch(node, y, binding, "cycle")
+        for child in children:
+            assert child.extra_rows == [row]
+        parent_sets = integral_feasible_sets(g, node.fixings, node.extra_rows)
+        union = set()
+        for child in children:
+            cs = integral_feasible_sets(g, child.fixings, child.extra_rows)
+            assert not (union & cs)
+            union |= cs
+        assert union == parent_sets
+        checked += 1
+    assert checked >= 1
+
+
 def test_stats_are_populated():
     g = I.generate(I.RandomSpec(10, 0.6, seed=1, parallel_frac=0.5))
     r = S.solve(g)
     assert r.stats["nodes"] >= 1
     assert r.stats["lp_solves"] >= 1
     assert r.stats["wall_time"] >= 0.0
+    assert r.stats["lp_cold_starts"] == 1
+    assert r.stats["lp_pivots"] >= 1
+    # with branching, every LP after the root's first starts warm from the
+    # last basis of its cut loop or of its parent
+    r = S.solve(I.generate(I.RandomSpec(20, 0.5, seed=2, neg_ratio=1.0)))
+    assert r.stats["nodes"] > 1
+    assert r.stats["lp_cold_starts"] == 1
+    assert r.stats["lp_pivots"] >= 1
 
 
 def test_deterministic_across_runs():
