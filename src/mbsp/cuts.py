@@ -4,6 +4,7 @@ separation routines, lifting, the cut pool, and the rounding heuristic."""
 from __future__ import annotations
 
 import heapq
+import itertools
 from collections import OrderedDict, deque
 from dataclasses import dataclass
 
@@ -118,13 +119,25 @@ def scan_pool(pool: CutPool, y, limit=100):
     return [cuts[i] for i in order[:limit]]
 
 
-def conflict_graph(g: SignedGraph):
-    """Adjacency sets of the parallel-pair conflict graph."""
-    adj = [set() for _ in range(g.n)]
-    for u, v in g.e_parallel:
-        adj[u].add(v)
-        adj[v].add(u)
-    return adj
+def _most_violated(cuts, y, limit):
+    """The cuts violated at y, most violated first, at most limit.
+
+    Callers pass one cut per distinct cycle or clique; two cycles may still
+    give equal cuts, and both are kept.
+    """
+    violated = [c for c in cuts if c.violation(y) > VIOLATION_TOL]
+    return sorted(violated, key=lambda c: (-c.violation(y), c.coeffs))[:limit]
+
+
+def _grow_clique(adj, clique, rank=None):
+    """Grow a clique of the graph adj to a maximal one, adding the common
+    neighbour that comes first under rank (lowest index by default)."""
+    common = set.intersection(*(adj[v] for v in clique)) - clique
+    while common:
+        w = min(common, key=rank)
+        clique.add(w)
+        common &= adj[w]
+    return clique
 
 
 # ---------------------------------------------------------------------------
@@ -133,93 +146,74 @@ def conflict_graph(g: SignedGraph):
 
 def _greedy_clique_cover(adj, min_size=2):
     """Maximal cliques greedily covering every edge of the given graph."""
-    n = len(adj)
     covered = set()
     cliques = []
-    for u in range(n):
+    for u in range(len(adj)):
         for v in sorted(adj[u]):
             if u > v or (u, v) in covered:
                 continue
-            clique = {u, v}
-            common = (adj[u] & adj[v]) - clique
-            while common:
-                w = min(common)
-                clique.add(w)
-                common = (common & adj[w]) - clique
+            clique = _grow_clique(adj, {u, v})
             if len(clique) >= min_size:
                 cliques.append(frozenset(clique))
-                for a in clique:
-                    for b in clique:
-                        if a < b:
-                            covered.add((a, b))
+                covered.update(itertools.combinations(sorted(clique), 2))
     return cliques
+
+
+# Walks in the parity double cover are lists of nodes v*2 + layer; an edge
+# with an odd number of negative signs changes the layer.  An odd closed walk
+# through s runs from node s*2 to node s*2 + 1.
+
+
+def _trace_back(prev, node):
+    """The walk from the search's source to node, following prev links."""
+    walk = [node]
+    while prev[node] is not None:
+        node = prev[node]
+        walk.append(node)
+    return walk[::-1]
 
 
 def _shortest_odd_walk_unit(adj, start):
     """BFS in the parity double cover; returns a shortest closed walk with an
-    odd number of negative edges through start, as (vertices, signs), or
-    None."""
-    source = (start, 0)
-    target = (start, 1)
+    odd number of negative edges through start, or None."""
+    source = start * 2
+    target = start * 2 + 1
     prev = {source: None}
     queue = deque([source])
     while queue:
         node = queue.popleft()
         if node == target:
             break
-        u, layer = node
+        u, layer = divmod(node, 2)
         for v, signs in adj[u].items():
             for s in sorted(signs):
-                nxt = (v, layer ^ (1 if s == NEG else 0))
+                nxt = v * 2 + (layer ^ (s == NEG))
                 if nxt not in prev:
-                    prev[nxt] = (node, s)
+                    prev[nxt] = node
                     queue.append(nxt)
     if target not in prev:
         return None
-    walk = []  # list of (vertex, sign of edge to the next vertex)
-    node = target
-    while prev[node] is not None:
-        parent, s = prev[node]
-        walk.append((node[0], s))
-        node = parent
-    walk.reverse()
-    # walk[i] = (vertex reached, sign used); rebuild as vertex/sign sequence
-    vertices = [start] + [v for v, _ in walk]
-    signs = [s for _, s in walk]
-    return vertices, signs
+    return _trace_back(prev, target)
 
 
-def _reduce_to_simple_odd_cycle(vertices, signs, odd_fn):
-    """Reduce a closed odd walk to a simple closed odd cycle.
+def _simple_odd_cycle(walk):
+    """Reduce a closed odd walk to a simple odd cycle, listed as vertices.
 
-    vertices has length k+1 with vertices[0] == vertices[-1]; signs[i] labels
-    the edge vertices[i]-vertices[i+1].  odd_fn maps a sign list to its
-    parity.  Splices out even sub-walks; keeps odd sub-walks.
+    The sub-walk between two visits of a vertex is odd iff the visits lie in
+    different layers: odd sub-walks are kept, even ones spliced out.
     """
     while True:
-        k = len(vertices) - 1
         seen = {}
-        dup = None
-        for i in range(k):
-            if vertices[i] in seen:
-                dup = (seen[vertices[i]], i)
+        for j, node in enumerate(walk[:-1]):
+            i = seen.setdefault(node // 2, j)
+            if i != j:
                 break
-            seen[vertices[i]] = i
-        if dup is None:
-            return vertices[:-1], signs
-        i, j = dup
-        sub_v = vertices[i : j + 1]
-        sub_s = signs[i:j]
-        if odd_fn(sub_s):
-            vertices = sub_v  # already closed: sub_v[0] == sub_v[-1]
-            signs = sub_s
         else:
-            vertices = vertices[:i] + vertices[j:]
-            signs = signs[:i] + signs[j:]
-
-
-def _odd_neg(signs):
-    return sum(1 for s in signs if s == NEG) % 2 == 1
+            return [node // 2 for node in walk[:-1]]
+        if (walk[i] ^ walk[j]) & 1:
+            walk = walk[i : j + 1]
+        else:
+            walk = walk[:i] + walk[j:]
 
 
 def _cycle_cut(cycle) -> Cut:
@@ -251,8 +245,7 @@ def initial_formulation(g: SignedGraph):
             cuts.append(cut)
 
     # (a) cliques covering every parallel pair
-    conf = conflict_graph(g)
-    for clique in _greedy_clique_cover(conf, min_size=2):
+    for clique in _greedy_clique_cover(g.conflicts, min_size=2):
         members = sorted(clique)
         if len(members) == 2:
             u, v = members
@@ -266,18 +259,17 @@ def initial_formulation(g: SignedGraph):
     for v in range(g.n):
         if cycle_rows >= 2 * g.n:
             break
-        found = _shortest_odd_walk_unit(g.signs, v)
-        if found is None:
+        walk = _shortest_odd_walk_unit(g.signs, v)
+        if walk is None:
             continue
-        vertices, signs = found
-        cycle, _ = _reduce_to_simple_odd_cycle(vertices, signs, _odd_neg)
+        cycle = _simple_odd_cycle(walk)
         if len(cycle) < 3:
             continue  # parallel pair, already covered by (a)
         key = _canonical_cycle(cycle)
         if key in seen_cycles:
             continue
         seen_cycles.add(key)
-        push(_cycle_cut(list(key)))
+        push(_cycle_cut(key))
         cycle_rows += 1
 
     # (c) maximal cliques of size >= 3 in the negative-edge graph
@@ -293,10 +285,11 @@ def initial_formulation(g: SignedGraph):
 
 
 def _dijkstra_odd_walk(n, arcs, start, cutoff):
-    """Min-weight odd closed walk through start in the parity double cover.
+    """Min-weight odd closed walk through start in the parity double cover,
+    or None.
 
-    Nodes are v*2 + layer; arcs[u] lists (v, parity_bit, weight, sign).
-    Paths of weight >= cutoff are abandoned.
+    arcs[u] lists (v, parity_bit, weight).  Paths of weight >= cutoff are
+    abandoned, so a walk found weighs less than cutoff.
     """
     inf = float("inf")
     source = start * 2
@@ -312,28 +305,36 @@ def _dijkstra_odd_walk(n, arcs, start, cutoff):
         if node == target:
             break
         u, layer = divmod(node, 2)
-        base = d
-        for v, bit, w, s in arcs[u]:
-            nd = base + w
+        for v, bit, w in arcs[u]:
+            nd = d + w
             if nd >= cutoff:
                 continue
             nxt = v * 2 + (layer ^ bit)
             if nd < dist[nxt] - 1e-15:
                 dist[nxt] = nd
-                prev[nxt] = (node, s)
+                prev[nxt] = node
                 heapq.heappush(heap, (nd, nxt))
     if dist[target] == inf:
         return None
-    walk = []
-    node = target
-    while prev[node] is not None:
-        parent, s = prev[node]
-        walk.append((node // 2, s))
-        node = parent
-    walk.reverse()
-    vertices = [start] + [v for v, _ in walk]
-    signs = [s for _, s in walk]
-    return dist[target], vertices, signs
+    return _trace_back(prev, target)
+
+
+def _odd_cycles(n, arcs, starts, simplify=None):
+    """Simple odd cycles of weight < 1 - VIOLATION_TOL, canonically listed,
+    each once: the min-weight odd closed walk through each start, reduced to
+    a simple cycle and passed through simplify."""
+    seen = set()
+    for v in starts:
+        walk = _dijkstra_odd_walk(n, arcs, v, 1.0 - VIOLATION_TOL)
+        if walk is None:
+            continue
+        cycle = _simple_odd_cycle(walk)
+        if simplify is not None:
+            cycle = simplify(cycle)
+        key = _canonical_cycle(cycle)
+        if key not in seen:
+            seen.add(key)
+            yield key
 
 
 def separate_odd_negative_cycle(g: SignedGraph, y, limit=100):
@@ -346,96 +347,48 @@ def separate_odd_negative_cycle(g: SignedGraph, y, limit=100):
     arcs = [[] for _ in range(g.n)]
     for u, v, s in g.edges:
         w = max(0.0, (2.0 - y[u] - y[v]) / 2.0)
-        bit = 1 if s == NEG else 0
-        arcs[u].append((v, bit, w, s))
-        arcs[v].append((u, bit, w, s))
+        bit = int(s == NEG)
+        arcs[u].append((v, bit, w))
+        arcs[v].append((u, bit, w))
     for lst in arcs:
         lst.sort()
-    cutoff = 1.0 - VIOLATION_TOL
-
-    found = {}
-    for v in range(g.n):
-        # any closed walk through v weighs at least 1 - y_v
-        if y[v] <= VIOLATION_TOL:
-            continue
-        res = _dijkstra_odd_walk(g.n, arcs, v, cutoff)
-        if res is None:
-            continue
-        d, vertices, signs = res
-        if d >= 1.0 - VIOLATION_TOL:
-            continue
-        cycle, _ = _reduce_to_simple_odd_cycle(vertices, signs, _odd_neg)
-        key = _canonical_cycle(cycle)
-        if key in found:
-            continue
-        cut = _cycle_cut(list(key))
-        if cut.violation(y) > VIOLATION_TOL:
-            found[key] = cut
-    cuts = sorted(found.values(), key=lambda c: (-c.violation(y), c.coeffs))
-    return cuts[:limit]
+    # any closed walk through v weighs at least 1 - y_v
+    starts = (v for v in range(g.n) if y[v] > VIOLATION_TOL)
+    cuts = (_cycle_cut(key) for key in _odd_cycles(g.n, arcs, starts))
+    return _most_violated(cuts, y, limit)
 
 
-def separate_clique(g: SignedGraph, y, conf=None, limit=100):
+def separate_clique(g: SignedGraph, y, limit=100):
     """Heuristic clique separation on the parallel-pair conflict graph."""
-    if conf is None:
-        conf = conflict_graph(g)
-    order = sorted(range(g.n), key=lambda v: (-y[v], v))
-    found = {}
-    for seed in order:
-        if not conf[seed]:
-            continue
-        clique = {seed}
-        common = set(conf[seed])
-        while common:
-            w = max(sorted(common), key=lambda v: y[v])
-            clique.add(w)
-            common = (common & conf[w]) - clique
-        total = sum(y[v] for v in clique)
-        if total > 1.0 + VIOLATION_TOL:
-            cut = Cut.make({v: 1.0 for v in sorted(clique)}, 1.0, CLIQUE)
-            found[cut.key] = cut
-    cuts = sorted(found.values(), key=lambda c: (-c.violation(y), c.coeffs))
-    return cuts[:limit]
+    conf = g.conflicts
 
+    def rank(v):
+        return (-y[v], v)
 
-def _odd_length(signs):
-    return len(signs) % 2 == 1
+    seeds = sorted((v for v in range(g.n) if conf[v]), key=rank)
+    cliques = {frozenset(_grow_clique(conf, {v}, rank)) for v in seeds}
+    cuts = (Cut.make({v: 1.0 for v in clique}, 1.0, CLIQUE) for clique in cliques)
+    return _most_violated(cuts, y, limit)
 
 
 def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
     """Heuristic lifted odd hole separation on the conflict graph."""
-    conf = conflict_graph(g)
-    if not any(conf):
-        return []
-    # reuse the double-cover walk machinery: every conflict edge flips parity
-    arcs = [[] for _ in range(g.n)]
-    for u in range(g.n):
-        for v in sorted(conf[u]):
-            arcs[u].append((v, 1, max(0.0, 1.0 - y[u] - y[v]), NEG))
-
-    found = {}
-    for v in range(g.n):
-        if not conf[v]:
-            continue
-        res = _dijkstra_odd_walk(g.n, arcs, v, 1.0 - VIOLATION_TOL)
-        if res is None:
-            continue
-        d, vertices, signs = res
-        if d >= 1.0 - VIOLATION_TOL:
-            continue
-        cycle, _ = _reduce_to_simple_odd_cycle(vertices, signs, _odd_length)
-        cycle = _shortcut_chords(conf, cycle)
-        key = _canonical_cycle(cycle)
-        if key in found:
-            continue
-        base = Cut.make(
-            {u: 1.0 for u in key}, (len(key) - 1) / 2.0, LIFTED_ODD_HOLE
+    conf = g.conflicts
+    # the double-cover walk search again: every conflict edge flips parity
+    arcs = [
+        [(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])]
+        for u in range(g.n)
+    ]
+    starts = (v for v in range(g.n) if conf[v])
+    holes = _odd_cycles(g.n, arcs, starts, lambda cycle: _shortcut_chords(conf, cycle))
+    cuts = (
+        _sequential_lift(
+            g, Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, LIFTED_ODD_HOLE),
+            LIFTED_ODD_HOLE,
         )
-        lifted = _sequential_lift(g, base, LIFTED_ODD_HOLE)
-        if lifted.violation(y) > VIOLATION_TOL:
-            found[key] = lifted
-    cuts = sorted(found.values(), key=lambda c: (-c.violation(y), c.coeffs))
-    return cuts[:limit]
+        for hole in holes
+    )
+    return _most_violated(cuts, y, limit)
 
 
 def _shortcut_chords(conf, cycle):
@@ -486,17 +439,6 @@ def _max_weight_balanced_subset(signs, vertices, weights, required, budget=LIFT_
     best = float("-inf")
     counter = [0]
 
-    def feasible_add(dsu, selected, v):
-        for u in selected:
-            ss = signs[u].get(v)
-            if ss is None:
-                continue
-            if len(ss) == 2:
-                return False
-            if not dsu.union(u, v, 1 if NEG in ss else 0):
-                return False
-        return True
-
     def dfs(i, dsu, selected, total):
         nonlocal best
         counter[0] += 1
@@ -510,7 +452,7 @@ def _max_weight_balanced_subset(signs, vertices, weights, required, budget=LIFT_
         v = order[i]
         # include v
         trial = dsu.copy()
-        if feasible_add(trial, selected, v):
+        if trial.attach(v, signs[v], selected):
             selected.append(v)
             if not dfs(i + 1, trial, selected, total + weights.get(v, 0.0)):
                 selected.pop()
@@ -585,20 +527,8 @@ def rounding_heuristic(g: SignedGraph, y) -> Bipartition:
     placed = []
     for v in order:
         trial = dsu.copy()
-        ok = True
-        for u in placed:
-            pair = g.signs[v].get(u)
-            if pair is None:
-                continue
-            if len(pair) == 2:
-                ok = False
-                break
-            if not trial.union(u, v, 1 if NEG in pair else 0):
-                ok = False
-                break
-        if ok:
+        if trial.attach(v, g.signs[v], placed):
             dsu = trial
-            dsu.find(v)  # materialize isolated vertices
             placed.append(v)
     v1, v2 = set(), set()
     for v in placed:

@@ -57,6 +57,16 @@ class SignedGraph:
             adj[u][v] = adj[v][u] = adj[u].get(v, frozenset()) | {s}
         return adj
 
+    @cached_property
+    def conflicts(self) -> tuple:
+        """conflicts[u] = set of the v joined to u by a parallel pair (the
+        conflict graph of the clique and odd-hole cuts); read-only."""
+        adj = tuple(set() for _ in range(self.n))
+        for u, v in self.e_parallel:
+            adj[u].add(v)
+            adj[v].add(u)
+        return adj
+
 
 def build(n, edge_list) -> SignedGraph:
     """Construct a SignedGraph, normalizing pairs to u < v.
@@ -185,6 +195,19 @@ class ParityDSU:
             return (pa ^ pb) == rel
         self.parent[rb] = ra
         self.parity[rb] = pa ^ pb ^ rel
+        return True
+
+    def attach(self, v, signs, members) -> bool:
+        """Join v to the balanced set members, given signs = its signed
+        adjacency (SignedGraph.signs[v]); False when the set with v is no
+        longer balanced, leaving the DSU partly updated (attach to a copy)."""
+        for u in members:
+            ss = signs.get(u)
+            if ss is None:
+                continue
+            if len(ss) == 2 or not self.union(u, v, int(NEG in ss)):
+                return False
+        self.find(v)  # an isolated v still joins the DSU
         return True
 
     def copy(self):

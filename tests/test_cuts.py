@@ -94,7 +94,7 @@ def test_scan_pool_orders_by_violation():
 
 def test_conflict_graph():
     g = G.build(3, [(0, 1, "+"), (0, 1, "-"), (1, 2, "-")])
-    conf = C.conflict_graph(g)
+    conf = g.conflicts
     assert 1 in conf[0] and 0 in conf[1]
     assert not conf[2]
 

@@ -149,6 +149,25 @@ def test_cached_structure_matches_edges(g, data):
     assert G.is_balanced(g, subset) == expect
 
 
+@settings(max_examples=200, deadline=None)
+@given(random_graph_strategy(), st.data())
+def test_attach_accepts_exactly_the_balanced_extensions(g, data):
+    # vertices join one at a time, each on a copy kept only on success (as
+    # lifting and rounding use it): attach succeeds iff the kept prefix plus
+    # the vertex is balanced, and the parities witness the prefix
+    order = data.draw(st.permutations(range(g.n)))
+    dsu, prefix = G.ParityDSU(), []
+    for v in order:
+        trial = dsu.copy()
+        ok = trial.attach(v, g.signs[v], prefix)
+        assert ok == (G.is_balanced(g, prefix + [v]) is not None)
+        if ok:
+            dsu = trial
+            prefix.append(v)
+    sides = ({v for v in prefix if dsu.find(v)[1] == side} for side in (0, 1))
+    assert G.is_feasible(g, G.Bipartition(*sides))
+
+
 def test_bipartition_validates_disjointness():
     with pytest.raises(G.GraphError):
         G.Bipartition(frozenset({0}), frozenset({0}))
