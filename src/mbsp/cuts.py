@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import OrderedDict, deque
+from collections import Counter, OrderedDict, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -473,13 +473,8 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     the support plus v that contain v.  Candidates in decreasing adjacency to
     the support, ties by index; budget exhaustion skips the candidate.
     """
-    neighbor_count = {}
     support = {v for v, _ in cut.coeffs}
-    for u, v, _ in g.edges:
-        if u in support and v not in support:
-            neighbor_count[v] = neighbor_count.get(v, 0) + 1
-        elif v in support and u not in support:
-            neighbor_count[u] = neighbor_count.get(u, 0) + 1
+    neighbor_count = Counter(v for s in support for v in g.signs[s] if v not in support)
     candidates = sorted(
         (v for v, c in neighbor_count.items() if c >= 2),
         key=lambda v: (-neighbor_count[v], v),

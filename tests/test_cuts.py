@@ -198,6 +198,27 @@ def test_lifting_preserves_validity_and_strengthens():
                 assert lifted.kind == C.LIFTED_CYCLE
 
 
+def test_lifting_candidates_need_two_support_neighbors(monkeypatch):
+    # odd negative triangle 0-1-2; vertex 3 meets only vertex 0, by a
+    # parallel pair (two edges, one neighbor); vertex 4 meets 0 and 1
+    g = G.build(
+        5,
+        [(0, 1, "-"), (1, 2, "-"), (0, 2, "-"), (0, 3, "+"), (0, 3, "-"),
+         (0, 4, "+"), (1, 4, "-")],
+    )
+    tried = []
+    search = C._max_weight_balanced_subset
+
+    def spy(signs, vertices, weights, required, **kw):
+        tried.append(required)
+        return search(signs, vertices, weights, required, **kw)
+
+    monkeypatch.setattr(C, "_max_weight_balanced_subset", spy)
+    lifted = C.lift_odd_negative_cycle(g, C._cycle_cut((0, 1, 2)))
+    assert tried == [4]
+    assert 3 not in dict(lifted.coeffs)
+
+
 def test_max_weight_balanced_subset_against_enumeration():
     for seed in range(6):
         g = I.generate(I.RandomSpec(7, 0.7, seed=seed, parallel_frac=0.25))
