@@ -116,11 +116,10 @@ CSV_HEADER = "instance,n,m,m_minus,m_plus,m_parallel,method,time_s,status,lb,ub,
 
 
 def _bench_one(task):
-    path, method, tree, branching, time_limit, iterations, seed = task
-    g = INST.read(path)
+    name, g, method, tree, branching, time_limit, iterations, seed = task
     n_par = len(g.e_parallel)
     base = {
-        "instance": os.path.basename(path),
+        "instance": name,
         "n": g.n,
         "m": g.m,
         "m_minus": len(g.e_minus) - n_par,
@@ -188,11 +187,18 @@ def cmd_bench(args):
     )
     if not paths:
         raise SystemExit(f"no instances in {args.dir}")
-    methods = args.method
+    # every file is parsed before any run starts, so a malformed one stops
+    # the bench at once and is named
+    graphs = []
+    for path in paths:
+        try:
+            graphs.append((os.path.basename(path), INST.read(path)))
+        except (INST.ParseError, GraphError) as exc:
+            return _input_error(path, exc)
     tasks = [
-        (path, method, args.tree, args.branching, args.time_limit, args.iterations, seed)
-        for path in paths
-        for method in methods
+        (name, g, method, args.tree, args.branching, args.time_limit, args.iterations, seed)
+        for name, g in graphs
+        for method in args.method
     ]
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
@@ -289,6 +295,12 @@ def build_parser():
     return parser
 
 
+def _input_error(path, exc):
+    # 2, because `check` already exits 1 for "unbalanced"
+    print(f"mbsp: error: {path}: {exc}", file=sys.stderr)
+    return 2
+
+
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -299,9 +311,7 @@ def run(argv=None) -> int:
     except (INST.ParseError, GraphError) as exc:
         if not hasattr(args, "instance"):
             raise
-        # 2, because `check` already exits 1 for "unbalanced"
-        print(f"mbsp: error: {args.instance}: {exc}", file=sys.stderr)
-        return 2
+        return _input_error(args.instance, exc)
 
 
 def main():

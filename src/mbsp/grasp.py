@@ -45,13 +45,9 @@ def _candidates(g, p: Bipartition, side) -> set:
     return {i for i in range(g.n) if i not in sel and _admissible(g, p, i, side)}
 
 
-def _maximalize(g, p: Bipartition, order=None) -> Bipartition:
-    """Insert admissible vertices until none remains.
-
-    With order=None the completion is deterministic: lowest candidate index
-    first, side 1 preferred.  An explicit order (e.g. rng-shuffled) gives the
-    randomized completion used during construction.
-    """
+def _maximalize(g, p: Bipartition) -> Bipartition:
+    """Insert admissible vertices until none remains: lowest candidate index
+    first, side 1 preferred."""
     v1, v2 = set(p.v1), set(p.v2)
     current = Bipartition(frozenset(v1), frozenset(v2))
     while True:
@@ -59,8 +55,7 @@ def _maximalize(g, p: Bipartition, order=None) -> Bipartition:
         c2 = _candidates(g, current, 2)
         if not c1 and not c2:
             return current
-        pool = sorted(c1 | c2) if order is None else [v for v in order if v in c1 | c2]
-        i = pool[0]
+        i = min(c1 | c2)
         if i in c1:
             v1.add(i)
         else:

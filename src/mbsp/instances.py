@@ -78,8 +78,13 @@ def generate_balanced(n, density, seed) -> SignedGraph:
 
 class ParseError(ValueError):
     def __init__(self, message, line_no):
-        super().__init__(f"line {line_no}: {message}")
+        # args keep both values, so the error pickles (to and from workers)
+        super().__init__(message, line_no)
         self.line_no = line_no
+
+    def __str__(self):
+        message, line_no = self.args
+        return f"line {line_no}: {message}"
 
 
 def write(g: SignedGraph, path):

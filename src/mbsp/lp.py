@@ -48,19 +48,15 @@ class LinearProgram:
     bounds: list = None  # (lo, hi) per variable
 
     def __post_init__(self):
-        n = len(self.objective)
         if self.bounds is None:
-            self.bounds = [(0.0, 1.0)] * n
-        for lo, hi in self.bounds:
-            if not (np.isfinite(lo) and np.isfinite(hi)) or lo > hi:
-                raise ValueError("variable bounds must be finite with lo <= hi")
+            self.bounds = [(0.0, 1.0)] * len(self.objective)
+        box = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
+        if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
+            raise ValueError("variable bounds must be finite with lo <= hi")
 
     @property
     def n(self) -> int:
         return len(self.objective)
-
-    def add_row(self, coeffs, rel, rhs):
-        self.rows.append((dict(coeffs), rel, rhs))
 
 
 class Basis(NamedTuple):

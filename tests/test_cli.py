@@ -86,6 +86,18 @@ def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, text, args):
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers):
+    d = make_suite(tmp_path)
+    bad = d / "g9-bad.mbsp"
+    bad.write_text("p mbsp 3 1\ne 1 4 +\n")
+    code, out, err = run_cli(["bench", "--dir", str(d), "--workers", workers], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"mbsp: error: {bad}: line 2: ")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
 def test_heuristic_grasp_json(tmp_path, capsys):
     path = tmp_path / "h.mbsp"
     g = I.generate(I.RandomSpec(12, 0.5, seed=2, parallel_frac=0.5))

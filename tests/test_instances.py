@@ -1,4 +1,5 @@
 import itertools
+import pickle
 
 import pytest
 
@@ -120,6 +121,9 @@ def test_parse_error_reports_line_number():
         I.parse_instance("p mbsp 3 1\ne 1 9 +\n")
     except I.ParseError as e:
         assert e.line_no == 2
+        assert str(e).startswith("line 2: ")
+        back = pickle.loads(pickle.dumps(e))  # crosses process boundaries
+        assert (type(back), back.line_no, str(back)) == (I.ParseError, 2, str(e))
     else:
         pytest.fail("expected ParseError")
 

@@ -120,6 +120,17 @@ def test_rejects_infinite_bounds():
         LP.LinearProgram([1.0], [], [(0.0, float("inf"))])
 
 
+@pytest.mark.parametrize("bounds", [(float("-inf"), 0.0), (float("nan"), 1.0), (1.0, 0.0)])
+def test_rejects_bad_bounds(bounds):
+    with pytest.raises(ValueError):
+        LP.LinearProgram([1.0, 1.0], [], [(0.0, 1.0), bounds])
+
+
+def test_empty_program_has_valid_bounds():
+    assert LP.LinearProgram([]).bounds == []
+    assert LP.LinearProgram([], [], []).n == 0
+
+
 def test_degenerate_lp_terminates():
     # many redundant rows through one vertex
     rows = [({0: 1.0, 1: 1.0}, LP.LE, 1.0) for _ in range(6)]
