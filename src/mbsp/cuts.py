@@ -146,9 +146,10 @@ def _grow_clique(adj, clique, rank=None):
 
 def _greedy_clique_cover(adj, min_size=2):
     """Maximal cliques greedily covering every edge of the given graph."""
+    n = len(adj)
     covered = set()
     cliques = []
-    for u in range(len(adj)):
+    for u in range(n):
         for v in sorted(adj[u]):
             if u > v or (u, v) in covered:
                 continue

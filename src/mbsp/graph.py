@@ -207,7 +207,6 @@ class ParityDSU:
                 continue
             if len(ss) == 2 or not self.union(u, v, int(NEG in ss)):
                 return False
-        self.find(v)  # an isolated v still joins the DSU
         return True
 
     def copy(self):
