@@ -382,13 +382,8 @@ def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
     ]
     starts = (v for v in range(g.n) if conf[v])
     holes = _odd_cycles(g.n, arcs, starts, lambda cycle: _shortcut_chords(conf, cycle))
-    cuts = (
-        _sequential_lift(
-            g, Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, LIFTED_ODD_HOLE),
-            LIFTED_ODD_HOLE,
-        )
-        for hole in holes
-    )
+    bases = (Cut.make({u: 1.0 for u in h}, (len(h) - 1) / 2.0, LIFTED_ODD_HOLE) for h in holes)
+    cuts = (_sequential_lift(g, base, LIFTED_ODD_HOLE) for base in bases)
     return _most_violated(cuts, y, limit)
 
 
@@ -471,8 +466,8 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     """Sequentially lift vertices adjacent to >= 2 support vertices.
 
     alpha_v = rhs - z*, z* the best current-cut LHS over balanced subsets of
-    the support plus v that contain v.  Candidates in decreasing adjacency to
-    the support, ties by index; budget exhaustion skips the candidate.
+    the support plus v that contain v.  Candidates by decreasing number of
+    support neighbors, ties by index; budget exhaustion skips the candidate.
     """
     support = {v for v, _ in cut.coeffs}
     neighbor_count = Counter(v for s in support for v in g.signs[s] if v not in support)
