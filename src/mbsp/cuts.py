@@ -374,6 +374,8 @@ def separate_clique(g: SignedGraph, y, limit=100):
 
 def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
     """Heuristic lifted odd hole separation on the conflict graph."""
+    if not g.e_parallel:
+        return []
     conf = g.conflicts
     # the double-cover walk search again: every conflict edge flips parity
     arcs = [
