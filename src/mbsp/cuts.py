@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NEG, Bipartition, ParityDSU, SignedGraph
+from .graph import NEG, Bipartition, SignedGraph, attach
 
 VIOLATION_TOL = 1e-4
 
@@ -422,22 +422,23 @@ def _shortcut_chords(conf, cycle):
 LIFT_BUDGET = 1 << 14
 
 
-def _max_weight_balanced_subset(signs, vertices, weights, required, budget=LIFT_BUDGET):
+def _max_weight_balanced_subset(masks, vertices, weights, required, budget=LIFT_BUDGET):
     """max sum(weights[v] for v in S) over balanced S ⊆ vertices, required ∈ S.
 
-    Depth-first enumeration with parity-DSU feasibility pruning and an
-    optimistic remaining-weight bound.  Returns (best, exhausted_budget).
+    Depth-first enumeration over the sides and components of the selected
+    set (graph.attach on masks = SignedGraph.sign_masks) with an optimistic
+    remaining-weight bound.  Returns (best, exhausted_budget).
     """
     order = [required] + sorted((v for v in vertices if v != required), key=lambda v: -weights.get(v, 0.0))
+    w_order = [weights.get(v, 0.0) for v in order]
     pos_suffix = [0.0] * (len(order) + 1)
     for i in range(len(order) - 1, -1, -1):
-        w = weights.get(order[i], 0.0)
-        pos_suffix[i] = pos_suffix[i + 1] + max(w, 0.0)
+        pos_suffix[i] = pos_suffix[i + 1] + max(w_order[i], 0.0)
 
     best = float("-inf")
     counter = [0]
 
-    def dfs(i, dsu, selected, total):
+    def dfs(i, s0, s1, comps, total):
         nonlocal best
         counter[0] += 1
         if counter[0] > budget:
@@ -447,20 +448,15 @@ def _max_weight_balanced_subset(signs, vertices, weights, required, budget=LIFT_
         if i == len(order):
             best = max(best, total)
             return True
-        v = order[i]
-        # include v
-        trial = dsu.copy()
-        if trial.attach(v, signs[v], selected):
-            selected.append(v)
-            if not dfs(i + 1, trial, selected, total + weights.get(v, 0.0)):
-                selected.pop()
-                return False
-            selected.pop()
+        # include order[i]
+        grown = attach(masks, order[i], s0, s1, comps)
+        if grown is not None and not dfs(i + 1, *grown, total + w_order[i]):
+            return False
         if i == 0:
             return True  # the required vertex must be included
-        return dfs(i + 1, dsu, selected, total)
+        return dfs(i + 1, s0, s1, comps, total)
 
-    completed = dfs(0, ParityDSU(), [], 0.0)
+    completed = dfs(0, 0, 0, (), 0.0)
     return best, not completed
 
 
@@ -483,7 +479,7 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     coeffs = dict(cut.coeffs)
     for v in candidates:
         verts = set(coeffs) | {v}
-        z_star, exhausted = _max_weight_balanced_subset(g.signs, verts, coeffs, v)
+        z_star, exhausted = _max_weight_balanced_subset(g.sign_masks, verts, coeffs, v)
         if exhausted:
             continue
         alpha = cut.rhs - (z_star if z_star > float("-inf") else 0.0)
@@ -507,24 +503,20 @@ def lift_odd_negative_cycle(g: SignedGraph, cut: Cut) -> Cut:
 
 
 def rounding_heuristic(g: SignedGraph, y) -> Bipartition:
-    """Greedy rounding: vertices in decreasing y, accepted when their sign
-    constraints against the already accepted vertices stay consistent.
+    """Greedy rounding: vertices in decreasing y, accepted when the accepted
+    set stays balanced (graph.attach).
 
-    Side membership is tracked as a parity relation (union-find), not as a
-    fixed side choice per vertex; this recovers every balanced integral point
-    exactly.  The first vertex of each component lands on side 1.  A single
+    Only the relative sides within a component are fixed, not a side per
+    vertex; this recovers every balanced integral point exactly.  Each
+    component's lowest vertex lands on side 1, as in is_balanced.  A single
     pass is maximal: the constraint set only grows.
     """
-    order = sorted(range(g.n), key=lambda v: (-y[v], v))
-    dsu = ParityDSU()
-    placed = []
-    for v in order:
-        trial = dsu.copy()
-        if trial.attach(v, g.signs[v], placed):
-            dsu = trial
-            placed.append(v)
-    v1, v2 = set(), set()
-    for v in placed:
-        _, parity = dsu.find(v)
-        (v1 if parity == 0 else v2).add(v)
-    return Bipartition(frozenset(v1), frozenset(v2))
+    state = (0, 0, ())
+    for v in sorted(range(g.n), key=lambda v: (-y[v], v)):
+        state = attach(g.sign_masks, v, *state) or state
+    s0, s1, comps = state
+    # swap each component whose lowest bit (c & -c) is on side 1
+    flip = sum(c for c in comps if c & -c & s1)  # components are disjoint
+    v1 = (s0 & ~flip) | (s1 & flip)
+    v2 = (s0 | s1) & ~v1
+    return Bipartition(*(frozenset(v for v in range(g.n) if side >> v & 1) for side in (v1, v2)))

@@ -58,6 +58,17 @@ class SignedGraph:
         return adj
 
     @cached_property
+    def sign_masks(self) -> tuple:
+        """sign_masks[u] = (plus, minus): bit v of plus (minus) is set when
+        uv carries a positive (negative) edge."""
+        plus, minus = [0] * self.n, [0] * self.n
+        for u, v, s in self.edges:
+            side = plus if s == POS else minus
+            side[u] |= 1 << v
+            side[v] |= 1 << u
+        return tuple(zip(plus, minus))
+
+    @cached_property
     def conflicts(self) -> tuple:
         """conflicts[u] = set of the v joined to u by a parallel pair (the
         conflict graph of the clique and odd-hole cuts); read-only."""
@@ -155,65 +166,58 @@ def is_balanced(g: SignedGraph, subset=None):
     return frozenset(v for v, side in label.items() if side == 1)
 
 
-class ParityDSU:
-    """Union-find over vertices with the parity of each vertex to its root.
+def attach(masks, v, s0, s1, comps):
+    """Add v to the balanced set with sides s0, s1 and component masks
+    comps (vertex bitmasks; masks = SignedGraph.sign_masks).
 
-    Serves balance tests built up one signed edge at a time (rel 1 for a
-    negative edge, 0 for a positive one) and plain connectivity.
+    Returns the grown (s0, s1, comps) with v on side 0 and every component
+    whose constraints require it swapped, or None when no swap makes the
+    set with v balanced.  A selected end of a parallel pair with v would be
+    on both sides, so it rejects v.
     """
+    plus, minus = masks[v]
+    stay = (plus & s0) | (minus & s1)  # neighbours already where v needs them
+    swap = (plus & s1) | (minus & s0)
+    if stay & swap:
+        return None
+    bit = 1 << v
+    merged, flip = bit, 0
+    rest = []
+    for c in comps:
+        if c & swap:
+            if c & stay:
+                return None
+            flip |= c
+        elif not c & stay:
+            rest.append(c)
+            continue
+        merged |= c
+    rest.append(merged)
+    return (s0 & ~flip) | (s1 & flip) | bit, (s1 & ~flip) | (s0 & flip), tuple(rest)
 
-    def __init__(self):
-        self.parent = {}
-        self.parity = {}
+
+class UnionFind:
+    """Union-find over the vertices 0..n-1, for plain connectivity."""
+
+    def __init__(self, n):
+        self.parent = list(range(n))
 
     def find(self, x):
-        """(root, parity of x relative to the root); adds x if unseen."""
-        if x not in self.parent:
-            self.parent[x] = x
-            self.parity[x] = 0
-            return x, 0
-        path = []
-        p = 0
-        while self.parent[x] != x:
-            path.append(x)
-            p ^= self.parity[x]
-            x = self.parent[x]
-        # path compression
-        acc = p
-        for node in path:
-            old = self.parity[node]
-            self.parent[node] = x
-            self.parity[node] = acc
-            acc ^= old
-        return x, p
+        parent = self.parent
+        root = x
+        while parent[root] != root:
+            root = parent[root]
+        while parent[x] != root:  # path compression
+            parent[x], x = root, parent[x]
+        return root
 
-    def union(self, a, b, rel) -> bool:
-        """Require parity(a) XOR parity(b) == rel; False on conflict."""
-        ra, pa = self.find(a)
-        rb, pb = self.find(b)
+    def union(self, a, b) -> bool:
+        """Merge the sets of a and b; False when they were one already."""
+        ra, rb = self.find(a), self.find(b)
         if ra == rb:
-            return (pa ^ pb) == rel
+            return False
         self.parent[rb] = ra
-        self.parity[rb] = pa ^ pb ^ rel
         return True
-
-    def attach(self, v, signs, members) -> bool:
-        """Join v to the balanced set members, given signs = its signed
-        adjacency (SignedGraph.signs[v]); False when the set with v is no
-        longer balanced, leaving the DSU partly updated (attach to a copy)."""
-        for u in members:
-            ss = signs.get(u)
-            if ss is None:
-                continue
-            if len(ss) == 2 or not self.union(u, v, int(NEG in ss)):
-                return False
-        return True
-
-    def copy(self):
-        other = ParityDSU()
-        other.parent = dict(self.parent)
-        other.parity = dict(self.parity)
-        return other
 
 
 @dataclass(frozen=True)

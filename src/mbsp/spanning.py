@@ -5,7 +5,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .graph import NEG, POS, ParityDSU, SignedGraph
+from .graph import NEG, POS, SignedGraph, UnionFind
 
 
 class TreeStrategy(enum.Enum):
@@ -71,12 +71,8 @@ def spanning_forest(g: SignedGraph, strategy: TreeStrategy, rng=None) -> SignedG
     if strategy in KRUSKAL_STRATEGIES:
         costed = [(edge_cost(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
         costed.sort(key=lambda t: (t[0], t[1]))
-        dsu = ParityDSU()  # connectivity only; the parity stays unused
-        forest = []
-        for _, _, e in costed:
-            if dsu.find(e[0])[0] != dsu.find(e[1])[0]:
-                dsu.union(e[0], e[1], 0)
-                forest.append(e)
+        components = UnionFind(g.n)
+        forest = [e for _, _, e in costed if components.union(e[0], e[1])]
         return SignedGraph(g.n, tuple(sorted(forest)))
     return _search_forest(g, depth_first=strategy is TreeStrategy.DFS)
 

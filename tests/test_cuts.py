@@ -4,6 +4,7 @@ import random
 from mbsp import cuts as C
 from mbsp import graph as G
 from mbsp import instances as I
+from mbsp import solver as S
 
 
 def balanced_incidence_vectors(g):
@@ -209,9 +210,9 @@ def test_lifting_candidates_need_two_support_neighbors(monkeypatch):
     tried = []
     search = C._max_weight_balanced_subset
 
-    def spy(signs, vertices, weights, required, **kw):
+    def spy(masks, vertices, weights, required, **kw):
         tried.append(required)
-        return search(signs, vertices, weights, required, **kw)
+        return search(masks, vertices, weights, required, **kw)
 
     monkeypatch.setattr(C, "_max_weight_balanced_subset", spy)
     lifted = C.lift_odd_negative_cycle(g, C._cycle_cut((0, 1, 2)))
@@ -226,7 +227,7 @@ def test_max_weight_balanced_subset_against_enumeration():
         rng = random.Random(seed)
         weights = {v: rng.randint(0, 3) for v in vertices}
         best, exhausted = C._max_weight_balanced_subset(
-            g.signs, vertices, weights, required=0, budget=C.LIFT_BUDGET
+            g.sign_masks, vertices, weights, required=0, budget=C.LIFT_BUDGET
         )
         assert not exhausted
         expect = float("-inf")
@@ -238,6 +239,60 @@ def test_max_weight_balanced_subset_against_enumeration():
                 if G.is_balanced(sg) is not None:
                     expect = max(expect, sum(weights[v] for v in sub))
         assert best == expect
+
+
+def reference_balanced_subset(g, vertices, weights, required, budget):
+    """The lifting search of _max_weight_balanced_subset (same order, bound
+    and budget counter) with each include step checked by is_balanced."""
+    order = [required] + sorted(
+        (v for v in vertices if v != required), key=lambda v: -weights.get(v, 0.0)
+    )
+    suffix = [0.0] * (len(order) + 1)
+    for i in range(len(order) - 1, -1, -1):
+        suffix[i] = suffix[i + 1] + max(weights.get(order[i], 0.0), 0.0)
+    best = float("-inf")
+    calls = 0
+
+    def dfs(i, selected, total):
+        nonlocal best, calls
+        calls += 1
+        if calls > budget:
+            return False
+        if total + suffix[i] <= best:
+            return True
+        if i == len(order):
+            best = max(best, total)
+            return True
+        v = order[i]
+        if G.is_balanced(g, selected + [v]) is not None:
+            if not dfs(i + 1, selected + [v], total + weights.get(v, 0.0)):
+                return False
+        if i == 0:
+            return True
+        return dfs(i + 1, selected, total)
+
+    completed = dfs(0, [], 0.0)
+    return best, not completed
+
+
+def test_max_weight_balanced_subset_matches_reference_search():
+    # as in lifting: the weights omit the required vertex; ties and zeros
+    # come from quarter steps; the small budgets run out before, after and
+    # without a first leaf
+    for seed in range(8):
+        spec = (
+            I.RandomSpec(16, 0.5, seed=seed, neg_ratio=1.0)
+            if seed % 2
+            else I.RandomSpec(16, 0.5, seed=seed, parallel_frac=0.25)
+        )
+        g = I.generate(spec)
+        rng = random.Random(seed)
+        vertices = set(rng.sample(range(g.n), rng.randint(4, g.n)))
+        required = rng.choice(sorted(vertices))
+        weights = {v: rng.randint(0, 4) / 4 for v in vertices if v != required}
+        for budget in (1, 7, 60, C.LIFT_BUDGET):
+            got = C._max_weight_balanced_subset(g.sign_masks, vertices, weights, required, budget)
+            assert got == reference_balanced_subset(g, vertices, weights, required, budget)
 
 
 def test_rounding_heuristic_feasible_on_fractional_points():
@@ -262,3 +317,18 @@ def test_rounding_heuristic_recovers_balanced_integral_points():
         y = [1.0 if v in opt_p.selected else 0.0 for v in range(g.n)]
         p = C.rounding_heuristic(g, y)
         assert p.selected == opt_p.selected
+
+
+def test_rounding_heuristic_orients_like_decode_on_maximal_balanced_points():
+    # on the point of a maximal balanced set, rounding keeps exactly that set,
+    # with each component's lowest vertex on side 1 as the solver's decode
+    for seed in range(8):
+        g = I.generate(I.RandomSpec(12, 0.4, seed=seed, parallel_frac=0.25))
+        rng = random.Random(seed)
+        for _ in range(5):
+            kept = []
+            for v in rng.sample(range(g.n), g.n):
+                if G.is_balanced(g, kept + [v]) is not None:
+                    kept.append(v)
+            y = [1.0 if v in kept else 0.0 for v in range(g.n)]
+            assert C.rounding_heuristic(g, y) == S._decode_integral(g, y)

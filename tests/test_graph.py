@@ -141,6 +141,10 @@ def test_cached_structure_matches_edges(g, data):
         plus = {(u, v) for u, v, s in h.edges if s == G.POS}
         minus = {(u, v) for u, v, s in h.edges if s == G.NEG}
         assert (h.e_plus, h.e_minus, h.e_parallel) == (plus, minus, plus & minus)
+        assert h.sign_masks == tuple(
+            tuple(sum(1 << v for v, ss in d.items() if s in ss) for s in (G.POS, G.NEG))
+            for d in signs
+        )
     # the subset balance check is the induced-subgraph check, mapped back
     subset = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
     sub, vmap = G.induced(g, subset)
@@ -149,23 +153,48 @@ def test_cached_structure_matches_edges(g, data):
     assert G.is_balanced(g, subset) == expect
 
 
+def component_masks(g, subset):
+    """Vertex bitmasks of the components of the subgraph induced by subset."""
+    sub, vmap = G.induced(g, subset)
+    seen, masks = set(), set()
+    for root in range(sub.n):
+        if root in seen:
+            continue
+        seen.add(root)
+        stack, mask = [root], 0
+        while stack:
+            u = stack.pop()
+            mask |= 1 << vmap[u]
+            for v in sub.signs[u]:
+                if v not in seen:
+                    seen.add(v)
+                    stack.append(v)
+        masks.add(mask)
+    return masks
+
+
 @settings(max_examples=200, deadline=None)
 @given(random_graph_strategy(), st.data())
 def test_attach_accepts_exactly_the_balanced_extensions(g, data):
-    # vertices join one at a time, each on a copy kept only on success (as
+    # vertices join one at a time, the grown state kept only on success (as
     # lifting and rounding use it): attach succeeds iff the kept prefix plus
-    # the vertex is balanced, and the parities witness the prefix
+    # the vertex is balanced, the sides witness the prefix, and comps are the
+    # components of the subgraph it induces
     order = data.draw(st.permutations(range(g.n)))
-    dsu, prefix = G.ParityDSU(), []
+    state, prefix = (0, 0, ()), []
     for v in order:
-        trial = dsu.copy()
-        ok = trial.attach(v, g.signs[v], prefix)
-        assert ok == (G.is_balanced(g, prefix + [v]) is not None)
-        if ok:
-            dsu = trial
-            prefix.append(v)
-    sides = ({v for v in prefix if dsu.find(v)[1] == side} for side in (0, 1))
-    assert G.is_feasible(g, G.Bipartition(*sides))
+        grown = G.attach(g.sign_masks, v, *state)
+        assert (grown is not None) == (G.is_balanced(g, prefix + [v]) is not None)
+        if grown is None:
+            continue
+        state = grown
+        prefix.append(v)
+        s0, s1, comps = state
+        assert s0 & s1 == 0 and s0 | s1 == sum(1 << u for u in prefix)
+        sides = ({u for u in prefix if side >> u & 1} for side in (s0, s1))
+        assert G.is_feasible(g, G.Bipartition(*sides))
+        assert len(comps) == len(set(comps))
+        assert set(comps) == component_masks(g, prefix)
 
 
 def test_bipartition_validates_disjointness():
