@@ -174,9 +174,12 @@ def _trace_back(prev, node):
     return walk[::-1]
 
 
-def _shortest_odd_walk_unit(adj, start):
+def _shortest_odd_walk_unit(arcs, start):
     """BFS in the parity double cover; returns a shortest closed walk with an
-    odd number of negative edges through start, or None."""
+    odd number of negative edges through start, or None.
+
+    arcs[u] lists (v, parity_bit), one per signed edge uv.
+    """
     source = start * 2
     target = start * 2 + 1
     prev = {source: None}
@@ -186,12 +189,11 @@ def _shortest_odd_walk_unit(adj, start):
         if node == target:
             break
         u, layer = divmod(node, 2)
-        for v, signs in adj[u].items():
-            for s in sorted(signs):
-                nxt = v * 2 + (layer ^ (s == NEG))
-                if nxt not in prev:
-                    prev[nxt] = node
-                    queue.append(nxt)
+        for v, bit in arcs[u]:
+            nxt = v * 2 + (layer ^ bit)
+            if nxt not in prev:
+                prev[nxt] = node
+                queue.append(nxt)
     if target not in prev:
         return None
     return _trace_back(prev, target)
@@ -257,10 +259,12 @@ def initial_formulation(g: SignedGraph):
     # (b) one shortest odd negative closed walk per vertex, capped at 2n rows
     cycle_rows = 0
     seen_cycles = set()
+    # the positive arc of a parallel pair first
+    arcs = [[(v, int(s == NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in g.signs]
     for v in range(g.n):
         if cycle_rows >= 2 * g.n:
             break
-        walk = _shortest_odd_walk_unit(g.signs, v)
+        walk = _shortest_odd_walk_unit(arcs, v)
         if walk is None:
             continue
         cycle = _simple_odd_cycle(walk)
