@@ -122,11 +122,14 @@ def scan_pool(pool: CutPool, y, limit=100):
 def _most_violated(cuts, y, limit):
     """The cuts violated at y, most violated first, at most limit.
 
-    Callers pass one cut per distinct cycle or clique; two cycles may still
-    give equal cuts, and both are kept.
+    Distinct cycles can give equal cuts (two odd holes that lift to the same
+    coefficients); only the first cut per key is kept.
     """
-    violated = [c for c in cuts if c.violation(y) > VIOLATION_TOL]
-    return sorted(violated, key=lambda c: (-c.violation(y), c.coeffs))[:limit]
+    violated = {}
+    for c in cuts:
+        if c.key not in violated and c.violation(y) > VIOLATION_TOL:
+            violated[c.key] = c
+    return sorted(violated.values(), key=lambda c: (-c.violation(y), c.coeffs))[:limit]
 
 
 def _grow_clique(adj, clique, rank=None):

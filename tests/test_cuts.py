@@ -180,6 +180,15 @@ def test_lifted_odd_hole_cuts_are_valid():
                     assert cut.violation(v) <= 1e-9
 
 
+def test_lifted_odd_hole_separation_returns_each_cut_once():
+    # two distinct odd holes of the conflict graph lift to one cut at this point
+    g = I.generate(I.RandomSpec(14, 0.5, seed=32, parallel_frac=0.5))
+    y = random_fractional_point(g.n, random.Random(108))
+    cuts = C.separate_lifted_odd_hole(g, y)
+    assert cuts
+    assert len({c.key for c in cuts}) == len(cuts)
+
+
 def test_lifting_preserves_validity_and_strengthens():
     for seed in range(6):
         g = I.generate(I.RandomSpec(9, 0.6, seed=seed, neg_ratio=2.0))
