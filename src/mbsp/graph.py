@@ -172,8 +172,8 @@ def attach(masks, v, s0, s1, comps):
 
     Returns the grown (s0, s1, comps) with v on side 0 and every component
     whose constraints require it swapped, or None when no swap makes the
-    set with v balanced.  A selected end of a parallel pair with v would be
-    on both sides, so it rejects v.
+    set with v balanced.  A selected vertex joined to v by a parallel pair
+    is in both stay and swap, so it rejects v.
     """
     plus, minus = masks[v]
     stay = (plus & s0) | (minus & s1)  # neighbours already where v needs them
