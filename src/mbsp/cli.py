@@ -17,6 +17,18 @@ from .graph import GraphError, is_balanced
 from .spanning import TreeStrategy
 
 
+def _positive(kind):
+    """argparse type: a number of the given kind that is above zero."""
+
+    def parse(text):
+        if kind(text) <= 0:
+            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
+        return kind(text)
+
+    parse.__name__ = kind.__name__  # argparse names the type in its errors
+    return parse
+
+
 def _default_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
@@ -242,6 +254,7 @@ def cmd_bench(args):
 
 def build_parser():
     parser = argparse.ArgumentParser(prog="mbsp", description=__doc__)
+    trees = [s.value for s in TreeStrategy]
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("generate", help="generate a random instance")
@@ -261,9 +274,9 @@ def build_parser():
     p = sub.add_parser("heuristic", help="run a heuristic")
     p.add_argument("instance")
     p.add_argument("--method", choices=("ggmz", "grasp"), required=True)
-    p.add_argument("--tree", default="bfs", help="ggmz spanning strategy")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--time-limit", type=float, default=300.0)
+    p.add_argument("--tree", choices=trees, default="bfs", help="ggmz spanning strategy")
+    p.add_argument("--iterations", type=_positive(int), default=100)
+    p.add_argument("--time-limit", type=_positive(float), default=300.0)
     p.add_argument("--seed", type=int)
     p.set_defaults(func=cmd_heuristic)
 
@@ -283,10 +296,10 @@ def build_parser():
         choices=("ggmz", "grasp", "bc"),
         help="repeatable; default bc",
     )
-    p.add_argument("--tree", default="bfs")
+    p.add_argument("--tree", choices=trees, default="bfs")
     p.add_argument("--branching", choices=("cycle", "standard"), default="cycle")
-    p.add_argument("--iterations", type=int, default=100)
-    p.add_argument("--time-limit", type=float, default=3600.0)
+    p.add_argument("--iterations", type=_positive(int), default=100)
+    p.add_argument("--time-limit", type=_positive(float), default=3600.0)
     p.add_argument("--seed", type=int)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--omit-times", action="store_true", help="blank time cells for byte-reproducible output")

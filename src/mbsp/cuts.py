@@ -10,7 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import NEG, Bipartition, SignedGraph, attach
+from .graph import NEG, Bipartition, SignedGraph, attach, bits
 
 VIOLATION_TOL = 1e-4
 
@@ -526,4 +526,4 @@ def rounding_heuristic(g: SignedGraph, y) -> Bipartition:
     flip = sum(c for c in comps if c & -c & s1)  # components are disjoint
     v1 = (s0 & ~flip) | (s1 & flip)
     v2 = (s0 | s1) & ~v1
-    return Bipartition(*(frozenset(v for v in range(g.n) if side >> v & 1) for side in (v1, v2)))
+    return Bipartition(bits(v1), bits(v2))

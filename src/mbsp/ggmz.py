@@ -6,8 +6,10 @@ import random
 import time
 from dataclasses import dataclass
 
-from .graph import NEG, Bipartition, SignedGraph, negative_part, switch
+from .graph import NEG, Bipartition, SignedGraph, bits, negative_part, switch
 from .spanning import TreeStrategy, spanning_forest
+
+RCL_ALPHA = 0.3  # RCL width of the degree-greedy construction
 
 
 @dataclass
@@ -15,7 +17,6 @@ class StableSetParams:
     max_stall_iterations: int = 100
     time_limit_seconds: float = 300.0
     seed: int = 0
-    alpha: float = 0.3  # RCL width for the degree-greedy construction
 
     def __post_init__(self):
         if self.max_stall_iterations <= 0 or self.time_limit_seconds <= 0:
@@ -48,74 +49,65 @@ def switch_set_from_forest(t: SignedGraph) -> frozenset:
     return frozenset(v for v in range(t.n) if label[v] == 1)
 
 
-def _greedy_stable_set(adj, n, rng, alpha):
-    """Randomized degree-greedy construction of a maximal stable set."""
-    alive = set(range(n))
-    degree = {v: len(adj[v]) for v in alive}  # live neighbours
-    chosen = []
+def _greedy_stable_set(adj, n, rng):
+    """Randomized degree-greedy construction of a maximal stable set, over
+    neighbour bitmasks adj; returns the set as a bitmask."""
+    alive = (1 << n) - 1
+    chosen = 0
     while alive:
-        lo = min(degree[v] for v in alive)
-        hi = max(degree[v] for v in alive)
-        cutoff = lo + alpha * (hi - lo)
-        rcl = sorted(v for v in alive if degree[v] <= cutoff)
-        v = rng.choice(rcl)
-        chosen.append(v)
-        removed = (adj[v] & alive) | {v}
-        alive -= removed
-        for w in removed:
-            for u in adj[w] & alive:
-                degree[u] -= 1
-    return set(chosen)
+        live = bits(alive)
+        degree = [(adj[v] & alive).bit_count() for v in live]
+        lo, hi = min(degree), max(degree)
+        cutoff = lo + RCL_ALPHA * (hi - lo)
+        v = rng.choice([v for v, d in zip(live, degree) if d <= cutoff])
+        chosen |= 1 << v
+        alive &= ~(adj[v] | 1 << v)
+    return chosen
+
+
+def _exchange(adj, full, stable):
+    """The first (1,2)-exchange in ascending (i, a, b) order, or None: drop
+    member i, add outsiders a < b that see no other member nor each other."""
+    outside = bits(full & ~stable)
+    for i in bits(stable):
+        rest = stable & ~(1 << i)
+        free = sum(1 << v for v in outside if not adj[v] & rest)
+        for a in bits(free):
+            later = free & ~adj[a] & -(2 << a)  # bits above a
+            if later:
+                return rest | 1 << a | later & -later
+    return None
 
 
 def _one_two_exchange(adj, n, stable):
     """Improve by removing one member and adding two non-adjacent outsiders."""
-    stable = set(stable)
-    improved = True
-    while improved:
-        improved = False
-        outside = [v for v in range(n) if v not in stable]
-        for i in sorted(stable):
-            rest = stable - {i}
-            # outsiders compatible with everything except possibly i
-            free = [v for v in outside if not (adj[v] & rest)]
-            for a_idx in range(len(free)):
-                a = free[a_idx]
-                for b in free[a_idx + 1 :]:
-                    if b not in adj[a]:
-                        stable = rest | {a, b}
-                        improved = True
-                        break
-                if improved:
-                    break
-            if improved:
-                break
+    full = (1 << n) - 1
+    while (better := _exchange(adj, full, stable)) is not None:
+        stable = better
     # maximalize: the exchange may leave room for more vertices
-    for v in range(n):
-        if v not in stable and not (adj[v] & stable):
-            stable.add(v)
+    for v in bits(full & ~stable):
+        if not adj[v] & stable:
+            stable |= 1 << v
     return stable
 
 
 def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     """Maximal stable set of h (signs ignored) via randomized construction
     plus (1,2)-exchange local search; best kept over iterations."""
-    adj = [set(nbrs) for nbrs in h.signs]
+    adj = [plus | minus for plus, minus in h.sign_masks]
     rng = random.Random(params.seed)
     deadline = time.monotonic() + params.time_limit_seconds
-    best = set()
-    stall = 0
+    best = stall = 0
     while stall < params.max_stall_iterations and time.monotonic() < deadline:
-        cand = _greedy_stable_set(adj, h.n, rng, params.alpha)
-        cand = _one_two_exchange(adj, h.n, cand)
-        if len(cand) > len(best):
+        cand = _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng))
+        if cand.bit_count() > best.bit_count():
             best = cand
             stall = 0
         else:
             stall += 1
-        if len(best) == h.n:
+        if best.bit_count() == h.n:
             break
-    return best
+    return set(bits(best))
 
 
 def ggmz(g: SignedGraph, strategy: TreeStrategy, params: StableSetParams = None) -> Bipartition:

@@ -166,6 +166,11 @@ def is_balanced(g: SignedGraph, subset=None):
     return frozenset(v for v, side in label.items() if side == 1)
 
 
+def bits(mask) -> list:
+    """The vertices of a vertex bitmask, ascending."""
+    return [v for v, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
 def attach(masks, v, s0, s1, comps):
     """Add v to the balanced set with sides s0, s1 and component masks
     comps (vertex bitmasks; masks = SignedGraph.sign_masks).

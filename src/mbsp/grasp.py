@@ -1,12 +1,19 @@
-"""GRASP metaheuristic for the maximum balanced subgraph problem."""
+"""GRASP metaheuristic for the maximum balanced subgraph problem.
+
+A partial solution is held as four vertex bitmasks (s1, s2, f1, f2) over
+SignedGraph.sign_masks: the two sides, and the vertices barred from each.
+A negative edge to side 1 or a positive edge to side 2 bars a vertex from
+side 1, and the mirror image from side 2; a parallel pair bars both.
+"""
 
 from __future__ import annotations
 
 import random
 import time
 from dataclasses import dataclass
+from itertools import combinations
 
-from .graph import NEG, POS, Bipartition, GraphError, SignedGraph, is_feasible
+from .graph import Bipartition, GraphError, SignedGraph, bits, is_feasible
 
 
 @dataclass
@@ -20,129 +27,110 @@ class GraspParams:
             raise ValueError("limits must be positive")
 
 
-def _admissible(g, p: Bipartition, i, side) -> bool:
-    """Can vertex i join the given side of feasible solution p?
+def _insert(masks, state, i, side):
+    """Put vertex i on the given side (1 or 2) of state."""
+    s1, s2, f1, f2 = state
+    plus, minus = masks[i]
+    if side == 1:
+        return s1 | 1 << i, s2, f1 | minus, f2 | plus
+    return s1, s2 | 1 << i, f1 | plus, f2 | minus
 
-    A neighbor on the same side needs a positive-only pair, one on the other
-    side a negative-only pair; a parallel pair fails both.
-    """
-    same, other = (p.v1, p.v2) if side == 1 else (p.v2, p.v1)
-    for j, ss in g.signs[i].items():
-        if (j in same and NEG in ss) or (j in other and POS in ss):
-            return False
-    return True
+
+def _state(masks, v1, v2):
+    """The state of the solution with vertex sets v1 and v2."""
+    state = (0, 0, 0, 0)
+    for side, vertices in ((1, v1), (2, v2)):
+        for i in vertices:
+            state = _insert(masks, state, i, side)
+    return state
+
+
+def _open(state, full):
+    """(c1, c2): the unselected vertices that may join each side."""
+    s1, s2, f1, f2 = state
+    free = full & ~(s1 | s2)
+    return free & ~f1, free & ~f2
+
+
+def _size(state):
+    return (state[0] | state[1]).bit_count()
+
+
+def _bipartition(state):
+    return Bipartition(bits(state[0]), bits(state[1]))
 
 
 def candidates(g: SignedGraph, p: Bipartition, side) -> set:
     """Vertices outside p that can feasibly join the given side."""
     if not is_feasible(g, p):
         raise GraphError("candidates() requires a feasible solution")
-    return _candidates(g, p, side)
+    c1, c2 = _open(_state(g.sign_masks, p.v1, p.v2), (1 << g.n) - 1)
+    return set(bits(c1 if side == 1 else c2))
 
 
-def _candidates(g, p: Bipartition, side) -> set:
-    sel = p.selected
-    return {i for i in range(g.n) if i not in sel and _admissible(g, p, i, side)}
-
-
-def _maximalize(g, p: Bipartition) -> Bipartition:
+def _maximalize(masks, full, state):
     """Insert admissible vertices until none remains: lowest candidate index
     first, side 1 preferred."""
-    v1, v2 = set(p.v1), set(p.v2)
-    current = Bipartition(frozenset(v1), frozenset(v2))
     while True:
-        c1 = _candidates(g, current, 1)
-        c2 = _candidates(g, current, 2)
-        if not c1 and not c2:
-            return current
-        i = min(c1 | c2)
-        if i in c1:
-            v1.add(i)
-        else:
-            v2.add(i)
-        current = Bipartition(frozenset(v1), frozenset(v2))
+        c1, c2 = _open(state, full)
+        low = (c1 | c2) & -(c1 | c2)
+        if not low:
+            return state
+        state = _insert(masks, state, low.bit_length() - 1, 1 if c1 & low else 2)
 
 
 def construct(g: SignedGraph, rng: random.Random) -> Bipartition:
     """Randomized greedy construction: grow (v1, v2) one vertex at a time
     until neither side has a candidate."""
-    v1, v2 = set(), set()
+    masks, full = g.sign_masks, (1 << g.n) - 1
+    state = (0, 0, 0, 0)
     while True:
-        p = Bipartition(frozenset(v1), frozenset(v2))
-        c1 = _candidates(g, p, 1)
-        c2 = _candidates(g, p, 2)
+        c1, c2 = _open(state, full)
         sides = [w for w, c in ((1, c1), (2, c2)) if c]
         if not sides:
-            return p
+            return _bipartition(state)
         w = rng.choice(sides)
-        cand = sorted(c1 if w == 1 else c2)
-        i = rng.choice(cand)
-        (v1 if w == 1 else v2).add(i)
+        state = _insert(masks, state, rng.choice(bits(c1 if w == 1 else c2)), w)
 
 
-def _neighbors_removing(g, p: Bipartition, removed, side):
-    """Deterministic completions after removing `removed` from `side`.
-
-    For each admissible first insertion j (into the shrunken side or the other
-    side) the solution is greedily re-maximalized; yields the resulting
-    bipartitions.
-    """
-    v1 = set(p.v1)
-    v2 = set(p.v2)
-    (v1 if side == 1 else v2).difference_update(removed)
-    base = Bipartition(frozenset(v1), frozenset(v2))
-    c_same = _candidates(g, base, side)
-    c_other = _candidates(g, base, 2 if side == 1 else 1)
-    out = []
-    for j in sorted(c_same | c_other):
-        w1, w2 = set(v1), set(v2)
-        if j in c_same:
-            (w1 if side == 1 else w2).add(j)
-        else:
-            (w2 if side == 1 else w1).add(j)
-        out.append(_maximalize(g, Bipartition(frozenset(w1), frozenset(w2))))
-    return out
+def _neighbors_removing(masks, full, state, removed, side):
+    """Deterministic completions after removing `removed` from `side`: for
+    each admissible first insertion j (into the shrunken side or the other
+    side, ascending) yields the greedily re-maximalized state."""
+    drop = sum(1 << i for i in removed)
+    base = _state(masks, bits(state[0] & ~drop), bits(state[1] & ~drop))
+    c1, c2 = _open(base, full)
+    c_same = c1 if side == 1 else c2
+    for j in bits(c1 | c2):
+        w = side if c_same >> j & 1 else 3 - side
+        yield _maximalize(masks, full, _insert(masks, base, j, w))
 
 
 def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
-    """Two-neighborhood local search.
-
-    Neighborhood (i): drop one vertex of a side, insert a candidate into its
-    side, re-maximalize.  Neighborhood (ii): drop a pair from one side, insert
-    a candidate, re-maximalize.  The current solution is replaced by the
-    largest neighbor; (i) is scanned fully before (ii); halts at a local
-    optimum (or at the deadline).
-    """
+    """Two-neighborhood local search: neighborhood (i) drops one vertex of a
+    side, (ii) a pair; each then inserts one candidate and re-maximalizes.
+    The current solution is replaced by the largest neighbor, (i) is scanned
+    fully before (ii), and the search halts at a local optimum or at the
+    deadline, which is checked before each side's scan."""
     if not is_feasible(g, p):
         raise GraphError("local_search requires a feasible solution")
-    current = _maximalize(g, p)
+    masks, full = g.sign_masks, (1 << g.n) - 1
+    current = _maximalize(masks, full, _state(masks, p.v1, p.v2))
     while True:
-        if deadline is not None and time.monotonic() >= deadline:
-            return current
         best = current
-        for side in (1, 2):
-            members = sorted(current.v1 if side == 1 else current.v2)
-            for i in members:
-                for q in _neighbors_removing(g, current, {i}, side):
-                    if q.size() > best.size():
-                        best = q
-        if best.size() > current.size():
-            current = best
-            continue
-        for side in (1, 2):
-            members = sorted(current.v1 if side == 1 else current.v2)
-            for a_idx in range(len(members)):
-                for b_idx in range(a_idx + 1, len(members)):
-                    pair = {members[a_idx], members[b_idx]}
-                    for q in _neighbors_removing(g, current, pair, side):
-                        if q.size() > best.size():
+        for k in (1, 2):  # neighborhood (i) removes one vertex, (ii) a pair
+            for side in (1, 2):
+                if deadline is not None and time.monotonic() >= deadline:
+                    return _bipartition(best)
+                for removed in combinations(bits(current[side - 1]), k):
+                    for q in _neighbors_removing(masks, full, current, removed, side):
+                        if _size(q) > _size(best):
                             best = q
-            if deadline is not None and time.monotonic() >= deadline:
+            if best is not current:
+                current = best
                 break
-        if best.size() > current.size():
-            current = best
-            continue
-        return current
+        else:
+            return _bipartition(current)
 
 
 def grasp(g: SignedGraph, params: GraspParams = None) -> Bipartition:

@@ -98,6 +98,31 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
     assert err.count("\n") == 1 and "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["heuristic", "{g}", "--method", "ggmz", "--tree", "bogus"],
+        ["heuristic", "{g}", "--method", "grasp", "--iterations", "0"],
+        ["heuristic", "{g}", "--method", "grasp", "--time-limit", "0"],
+        ["heuristic", "{g}", "--method", "ggmz", "--time-limit", "-1"],
+        ["bench", "--dir", "{d}", "--method", "ggmz", "--tree", "bogus"],
+        ["bench", "--dir", "{d}", "--method", "grasp", "--iterations", "0"],
+        ["bench", "--dir", "{d}", "--method", "grasp", "--time-limit", "0"],
+    ],
+    ids=lambda a: f"{a[0]}{a[-2]}={a[-1]}",
+)
+def test_bad_heuristic_option_is_a_usage_error(tmp_path, capsys, args):
+    d = make_suite(tmp_path)
+    args = [a.format(g=d / "g1-1.mbsp", d=d) for a in args]
+    with pytest.raises(SystemExit) as exc:
+        cli.run(args)
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err.startswith("usage: mbsp ")
+    assert f"error: argument {args[-2]}: " in out.err and "Traceback" not in out.err
+
+
 def test_heuristic_grasp_json(tmp_path, capsys):
     path = tmp_path / "h.mbsp"
     g = I.generate(I.RandomSpec(12, 0.5, seed=2, parallel_frac=0.5))

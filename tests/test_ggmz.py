@@ -116,11 +116,62 @@ def _greedy_stable_set_reference(adj, n, rng, alpha):
     return set(chosen)
 
 
+def mask_adjacency(h):
+    return [plus | minus for plus, minus in h.sign_masks]
+
+
 def test_greedy_stable_set_matches_recounting_reference():
     for seed in range(20):
         g = I.generate(I.RandomSpec(30, 0.3, seed=seed, neg_ratio=1.0))
-        adj = [set(nbrs) for nbrs in G.negative_part(g).signs]
+        h = G.negative_part(g)
+        adj = [set(nbrs) for nbrs in h.signs]
         for draw in range(5):
-            got = GZ._greedy_stable_set(adj, g.n, random.Random(draw), 0.3)
+            got = set(G.bits(GZ._greedy_stable_set(mask_adjacency(h), g.n, random.Random(draw))))
             want = _greedy_stable_set_reference(adj, g.n, random.Random(draw), 0.3)
             assert got == want
+
+
+def _one_two_exchange_reference(adj, n, stable):
+    """(1,2)-exchange on sets: the first exchange of the nested scan over
+    members i, then free outsiders a < b, until none is left; then
+    maximalize in ascending order."""
+    stable = set(stable)
+    improved = True
+    while improved:
+        improved = False
+        outside = [v for v in range(n) if v not in stable]
+        for i in sorted(stable):
+            rest = stable - {i}
+            free = [v for v in outside if not (adj[v] & rest)]
+            for a_idx in range(len(free)):
+                a = free[a_idx]
+                for b in free[a_idx + 1 :]:
+                    if b not in adj[a]:
+                        stable = rest | {a, b}
+                        improved = True
+                        break
+                if improved:
+                    break
+            if improved:
+                break
+    for v in range(n):
+        if v not in stable and not (adj[v] & stable):
+            stable.add(v)
+    return stable
+
+
+def test_one_two_exchange_matches_set_reference():
+    # about 40 graphs of both groups; starts from the greedy and from
+    # non-maximal stable sets, where exchanges are plentiful
+    for seed in range(20):
+        for spec in (
+            I.RandomSpec(16 + seed % 10, 0.2 + 0.1 * (seed % 5), seed=seed, neg_ratio=1.0),
+            I.RandomSpec(16 + seed % 10, 0.2 + 0.1 * (seed % 5), seed=seed, parallel_frac=0.4),
+        ):
+            h = G.negative_part(I.generate(spec))
+            adj = [set(nbrs) for nbrs in h.signs]
+            masks = mask_adjacency(h)
+            greedy = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
+            for start in (greedy, sum(1 << v for v in G.bits(greedy)[::2])):
+                got = set(G.bits(GZ._one_two_exchange(masks, h.n, start)))
+                assert got == _one_two_exchange_reference(adj, h.n, set(G.bits(start)))

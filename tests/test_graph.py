@@ -197,6 +197,14 @@ def test_attach_accepts_exactly_the_balanced_extensions(g, data):
         assert set(comps) == component_masks(g, prefix)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.sets(st.integers(min_value=0, max_value=300)))
+def test_bits_round_trip(vertices):
+    mask = sum(1 << v for v in vertices)
+    assert G.bits(mask) == sorted(vertices)
+    assert sum(1 << v for v in G.bits(mask)) == mask
+
+
 def test_bipartition_validates_disjointness():
     with pytest.raises(G.GraphError):
         G.Bipartition(frozenset({0}), frozenset({0}))

@@ -1,5 +1,9 @@
 import importlib
 import random
+import time
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mbsp import graph as G
 from mbsp import instances as I
@@ -77,3 +81,152 @@ def test_grasp_on_balanced_graph_selects_everything():
     g = I.generate_balanced(15, 0.4, seed=2)
     p = GR.grasp(g, GR.GraspParams(max_iterations=30, seed=0))
     assert p.size() == g.n
+
+
+# ---------------------------------------------------------------------------
+# set-based reference: the GRASP steps written on Bipartition sets, with one
+# admissibility scan of g.signs per candidate test
+
+
+def _admissible_reference(g, p, i, side):
+    same, other = (p.v1, p.v2) if side == 1 else (p.v2, p.v1)
+    for j, ss in g.signs[i].items():
+        if (j in same and G.NEG in ss) or (j in other and G.POS in ss):
+            return False
+    return True
+
+
+def _candidates_reference(g, p, side):
+    sel = p.selected
+    return {i for i in range(g.n) if i not in sel and _admissible_reference(g, p, i, side)}
+
+
+def _maximalize_reference(g, p):
+    v1, v2 = set(p.v1), set(p.v2)
+    current = G.Bipartition(frozenset(v1), frozenset(v2))
+    while True:
+        c1 = _candidates_reference(g, current, 1)
+        c2 = _candidates_reference(g, current, 2)
+        if not c1 and not c2:
+            return current
+        i = min(c1 | c2)
+        (v1 if i in c1 else v2).add(i)
+        current = G.Bipartition(frozenset(v1), frozenset(v2))
+
+
+def _construct_reference(g, rng):
+    v1, v2 = set(), set()
+    while True:
+        p = G.Bipartition(frozenset(v1), frozenset(v2))
+        c1 = _candidates_reference(g, p, 1)
+        c2 = _candidates_reference(g, p, 2)
+        sides = [w for w, c in ((1, c1), (2, c2)) if c]
+        if not sides:
+            return p
+        w = rng.choice(sides)
+        (v1 if w == 1 else v2).add(rng.choice(sorted(c1 if w == 1 else c2)))
+
+
+def _neighbors_removing_reference(g, p, removed, side):
+    v1, v2 = set(p.v1), set(p.v2)
+    (v1 if side == 1 else v2).difference_update(removed)
+    base = G.Bipartition(frozenset(v1), frozenset(v2))
+    c_same = _candidates_reference(g, base, side)
+    c_other = _candidates_reference(g, base, 3 - side)
+    out = []
+    for j in sorted(c_same | c_other):
+        w1, w2 = set(v1), set(v2)
+        if j in c_same:
+            (w1 if side == 1 else w2).add(j)
+        else:
+            (w2 if side == 1 else w1).add(j)
+        out.append(_maximalize_reference(g, G.Bipartition(frozenset(w1), frozenset(w2))))
+    return out
+
+
+def _local_search_reference(g, p):
+    current = _maximalize_reference(g, p)
+    while True:
+        best = current
+        for side in (1, 2):
+            for i in sorted(current.v1 if side == 1 else current.v2):
+                for q in _neighbors_removing_reference(g, current, {i}, side):
+                    if q.size() > best.size():
+                        best = q
+        if best.size() > current.size():
+            current = best
+            continue
+        for side in (1, 2):
+            members = sorted(current.v1 if side == 1 else current.v2)
+            for a_idx in range(len(members)):
+                for b in members[a_idx + 1 :]:
+                    for q in _neighbors_removing_reference(g, current, {members[a_idx], b}, side):
+                        if q.size() > best.size():
+                            best = q
+        if best.size() > current.size():
+            current = best
+            continue
+        return current
+
+
+def _reference_graphs():
+    for seed in range(20):
+        n, d = 10 + seed % 8, 0.2 + 0.1 * (seed % 6)
+        yield I.generate(I.RandomSpec(n, d, seed=seed, neg_ratio=0.5 + seed % 3))
+        yield I.generate(I.RandomSpec(n, d, seed=seed, parallel_frac=0.2 + 0.1 * (seed % 5)))
+
+
+def test_construct_and_local_search_match_set_reference():
+    graphs = list(_reference_graphs())
+    assert len(graphs) == 40 and sum(bool(g.e_parallel) for g in graphs) >= 15
+    for seed, g in enumerate(graphs):
+        got_rng, want_rng = random.Random(seed), random.Random(seed)
+        for _ in range(2):
+            p = GR.construct(g, got_rng)
+            assert p == _construct_reference(g, want_rng)
+            assert GR.local_search(g, p) == _local_search_reference(g, p)
+        assert got_rng.random() == want_rng.random()  # same draws consumed
+        # a non-maximal start exercises the initial maximalization
+        start = G.Bipartition(frozenset(sorted(p.v1)[::2]), p.v2)
+        assert GR.local_search(g, start) == _local_search_reference(g, start)
+
+
+@st.composite
+def feasible_solutions(draw):
+    """A random signed graph of either group and a feasible (possibly empty)
+    solution on it, grown in a random vertex order with random sides."""
+    n = draw(st.integers(min_value=4, max_value=12))
+    density = draw(st.sampled_from([0.2, 0.4, 0.6, 0.8]))
+    seed = draw(st.integers(min_value=0, max_value=10**6))
+    group = draw(st.sampled_from([{"neg_ratio": 1.0}, {"parallel_frac": 0.4}]))
+    g = I.generate(I.RandomSpec(n, density, seed, **group))
+    sides = (set(), set())
+    for i in draw(st.permutations(range(g.n))):
+        side = draw(st.sampled_from([0, 1, None]))
+        if side is not None:
+            sides[side].add(i)
+            if not G.is_feasible(g, G.Bipartition(*sides)):
+                sides[side].discard(i)
+    return g, G.Bipartition(*sides)
+
+
+@settings(max_examples=200, deadline=None)
+@given(feasible_solutions(), st.sampled_from([1, 2]))
+def test_candidates_are_the_feasible_insertions(gp, side):
+    g, p = gp
+    grown = lambda i: G.Bipartition(p.v1 | {i}, p.v2) if side == 1 else G.Bipartition(p.v1, p.v2 | {i})  # noqa: E731
+    want = {i for i in range(g.n) if i not in p.selected and G.is_feasible(g, grown(i))}
+    assert GR.candidates(g, p, side) == want
+    assert GR.candidates(g, p, side) == _candidates_reference(g, p, side)
+
+
+def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():
+    for seed in range(6):
+        g = I.generate(I.RandomSpec(14, 0.4, seed=seed, parallel_frac=0.3))
+        p = GR.construct(g, random.Random(seed))
+        p = G.Bipartition(frozenset(sorted(p.v1)[1:]), p.v2)  # room to grow again
+        q = GR.local_search(g, p, deadline=time.monotonic())
+        assert G.is_feasible(g, q)
+        assert q.size() >= p.size()
+        assert not GR.candidates(g, q, 1) and not GR.candidates(g, q, 2)
+        assert q == _maximalize_reference(g, p)  # no neighborhood was scanned
