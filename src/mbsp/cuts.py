@@ -61,7 +61,7 @@ class CutPool:
         # scan is a single matrix-vector product
         self._mat = None
         self._rhs = None
-        self._rows = 0
+        self._row_cuts = []  # the cut of each matrix row
         self._stale = True
 
     def __len__(self):
@@ -82,40 +82,41 @@ class CutPool:
         return True
 
     def _append_row(self, cut):
-        if self._rows == self._mat.shape[0]:
-            grown = np.zeros((max(64, 2 * self._rows), self._mat.shape[1]))
-            grown[: self._rows] = self._mat[: self._rows]
+        rows = len(self._row_cuts)
+        if rows == self._mat.shape[0]:
+            grown = np.zeros((max(64, 2 * rows), self._mat.shape[1]))
+            grown[:rows] = self._mat[:rows]
             self._mat = grown
             self._rhs = np.resize(self._rhs, grown.shape[0])
-        row = self._mat[self._rows]
+        row = self._mat[rows]
         row[:] = 0.0
         for v, c in cut.coeffs:
             row[v] = c
-        self._rhs[self._rows] = cut.rhs
-        self._rows += 1
+        self._rhs[rows] = cut.rhs
+        self._row_cuts.append(cut)
 
     def _matrix(self, n):
+        """The coefficient matrix, the rhs vector and the cut of each row."""
         if self._stale or self._mat is None or self._mat.shape[1] != n:
             self._mat = np.zeros((max(64, len(self._cuts)), n))
             self._rhs = np.zeros(self._mat.shape[0])
-            self._rows = 0
+            self._row_cuts = []
             self._stale = False
             for cut in self._cuts.values():
                 self._append_row(cut)
-        return self._mat[: self._rows], self._rhs[: self._rows]
+        rows = len(self._row_cuts)
+        return self._mat[:rows], self._rhs[:rows], self._row_cuts
 
 
 def scan_pool(pool: CutPool, y, limit=100):
-    """Pool cuts violated by the current point, most violated first."""
+    """Pool cuts violated by the current point, most violated first (ties by
+    age)."""
     if not len(pool):
         return []
-    mat, rhs = pool._matrix(len(y))
+    mat, rhs, cuts = pool._matrix(len(y))
     viol = mat @ np.asarray(y, dtype=float) - rhs
     idx = np.nonzero(viol > VIOLATION_TOL)[0]
-    if not len(idx):
-        return []
-    order = sorted(idx, key=lambda i: (-viol[i], i))
-    cuts = list(pool._cuts.values())
+    order = idx[np.lexsort((idx, -viol[idx]))]
     return [cuts[i] for i in order[:limit]]
 
 
@@ -127,9 +128,12 @@ def _most_violated(cuts, y, limit):
     """
     violated = {}
     for c in cuts:
-        if c.key not in violated and c.violation(y) > VIOLATION_TOL:
-            violated[c.key] = c
-    return sorted(violated.values(), key=lambda c: (-c.violation(y), c.coeffs))[:limit]
+        if c.key not in violated:
+            viol = c.violation(y)
+            if viol > VIOLATION_TOL:
+                violated[c.key] = (viol, c)
+    ranked = sorted(violated.values(), key=lambda vc: (-vc[0], vc[1].coeffs))
+    return [c for _, c in ranked[:limit]]
 
 
 def _grow_clique(adj, clique, rank=None):
@@ -327,13 +331,50 @@ def _dijkstra_odd_walk(n, arcs, start, cutoff):
     return _trace_back(prev, target)
 
 
-def _odd_cycles(n, arcs, starts, simplify=None):
+def _odd_walk_bounds(arcs, vertices):
+    """Weight of the min-weight odd closed walk through each of vertices,
+    among the walks that stay inside vertices (inf where there is none).
+
+    One Floyd–Warshall pass over the parity double cover of the arcs between
+    vertices, whose node i*2 + layer stands for (vertices[i], layer).
+    """
+    index = {v: i for i, v in enumerate(vertices)}
+    tails, heads, weights = [], [], []
+    for i, u in enumerate(vertices):
+        for v, bit, w in arcs[u]:
+            j = index.get(v)
+            if j is None:
+                continue
+            for layer in (0, 1):
+                tails.append(i * 2 + layer)
+                heads.append(j * 2 + (layer ^ bit))
+                weights.append(w)
+    dist = np.full((2 * len(vertices), 2 * len(vertices)), np.inf)
+    np.minimum.at(dist, (tails, heads), weights)
+    np.fill_diagonal(dist, 0.0)
+    for t in range(len(dist)):
+        np.minimum(dist, dist[:, t, None] + dist[t], out=dist)
+    return dict(zip(vertices, dist.diagonal(1)[::2].tolist()))
+
+
+def _odd_cycles(n, arcs, starts, vertices, simplify=None):
     """Simple odd cycles of weight < 1 - VIOLATION_TOL, canonically listed,
     each once: the min-weight odd closed walk through each start, reduced to
-    a simple cycle and passed through simplify."""
+    a simple cycle and passed through simplify.
+
+    vertices must hold every vertex of every odd closed walk under the
+    cutoff.  Their Floyd–Warshall bounds (_odd_walk_bounds) only skip the
+    starts that have no such walk; Dijkstra still finds each walk, so the
+    cycles are those of a search from every start.
+    """
+    cutoff = 1.0 - VIOLATION_TOL
+    bounds = _odd_walk_bounds(arcs, vertices)
     seen = set()
     for v in starts:
-        walk = _dijkstra_odd_walk(n, arcs, v, 1.0 - VIOLATION_TOL)
+        # the slack covers the two searches' different order of summation
+        if bounds.get(v, np.inf) >= cutoff + 1e-9:
+            continue
+        walk = _dijkstra_odd_walk(n, arcs, v, cutoff)
         if walk is None:
             continue
         cycle = _simple_odd_cycle(walk)
@@ -360,9 +401,16 @@ def separate_odd_negative_cycle(g: SignedGraph, y, limit=100):
         arcs[v].append((u, bit, w))
     for lst in arcs:
         lst.sort()
-    # any closed walk through v weighs at least 1 - y_v
-    starts = (v for v in range(g.n) if y[v] > VIOLATION_TOL)
-    cuts = (_cycle_cut(key) for key in _odd_cycles(g.n, arcs, starts))
+    # Any closed walk through u weighs at least 1 - y_u - e, where
+    # e = max(0, max(y) - 1) is how far LP values exceed 1: its two arcs at u
+    # weigh at least (2 - y_u - y_w)/2 >= (1 - y_u - e)/2 each, and no arc
+    # weighs less than 0.  So a walk under the cutoff 1 - VIOLATION_TOL
+    # passes only vertices with y_u > VIOLATION_TOL - e; the searches start
+    # from those with y_u > VIOLATION_TOL.
+    e = max(0.0, max(y, default=0.0) - 1.0)
+    vertices = [u for u in range(g.n) if y[u] > VIOLATION_TOL - e - 1e-9]
+    starts = (u for u in vertices if y[u] > VIOLATION_TOL)
+    cuts = (_cycle_cut(key) for key in _odd_cycles(g.n, arcs, starts, vertices))
     return _most_violated(cuts, y, limit)
 
 
@@ -389,8 +437,8 @@ def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
         [(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])]
         for u in range(g.n)
     ]
-    starts = (v for v in range(g.n) if conf[v])
-    holes = _odd_cycles(g.n, arcs, starts, lambda cycle: _shortcut_chords(conf, cycle))
+    vertices = [v for v in range(g.n) if conf[v]]
+    holes = _odd_cycles(g.n, arcs, vertices, vertices, lambda cycle: _shortcut_chords(conf, cycle))
     bases = (Cut.make({u: 1.0 for u in h}, (len(h) - 1) / 2.0, LIFTED_ODD_HOLE) for h in holes)
     cuts = (_sequential_lift(g, base, LIFTED_ODD_HOLE) for base in bases)
     return _most_violated(cuts, y, limit)
@@ -429,12 +477,15 @@ def _shortcut_chords(conf, cycle):
 LIFT_BUDGET = 1 << 14
 
 
-def _max_weight_balanced_subset(masks, vertices, weights, required, budget=LIFT_BUDGET):
+def _max_weight_balanced_subset(
+    masks, vertices, weights, required, budget=LIFT_BUDGET, cap=float("inf")
+):
     """max sum(weights[v] for v in S) over balanced S ⊆ vertices, required ∈ S.
 
     Depth-first enumeration over the sides and components of the selected
     set (graph.attach on masks = SignedGraph.sign_masks) with an optimistic
-    remaining-weight bound.  Returns (best, exhausted_budget).
+    remaining-weight bound.  Returns (best, exhausted_budget).  The search
+    stops at the first best >= cap and returns it, not exhausted.
     """
     order = [required] + sorted((v for v in vertices if v != required), key=lambda v: -weights.get(v, 0.0))
     w_order = [weights.get(v, 0.0) for v in order]
@@ -447,6 +498,8 @@ def _max_weight_balanced_subset(masks, vertices, weights, required, budget=LIFT_
 
     def dfs(i, s0, s1, comps, total):
         nonlocal best
+        if best >= cap:
+            return True  # unwinds without a further count or step
         counter[0] += 1
         if counter[0] > budget:
             return False
@@ -473,6 +526,8 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     alpha_v = rhs - z*, z* the best current-cut LHS over balanced subsets of
     the support plus v that contain v.  Candidates by decreasing number of
     support neighbors, ties by index; budget exhaustion skips the candidate.
+    The cut is valid and v weighs 0, so z* <= rhs: each search stops once
+    it reaches rhs - 1e-9, where alpha can no longer pass the 1e-9 test.
     """
     support = {v for v, _ in cut.coeffs}
     neighbor_count = Counter(v for s in support for v in g.signs[s] if v not in support)
@@ -486,7 +541,9 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     coeffs = dict(cut.coeffs)
     for v in candidates:
         verts = set(coeffs) | {v}
-        z_star, exhausted = _max_weight_balanced_subset(g.sign_masks, verts, coeffs, v)
+        z_star, exhausted = _max_weight_balanced_subset(
+            g.sign_masks, verts, coeffs, v, cap=cut.rhs - 1e-9
+        )
         if exhausted:
             continue
         alpha = cut.rhs - (z_star if z_star > float("-inf") else 0.0)

@@ -1,5 +1,10 @@
 import itertools
+import math
 import random
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mbsp import cuts as C
 from mbsp import graph as G
@@ -91,6 +96,21 @@ def test_scan_pool_orders_by_violation():
     got = C.scan_pool(pool, y)
     assert got[0] == big and got[1] == small
     assert C.scan_pool(pool, [0.0] * 4) == []
+
+
+def test_scan_pool_breaks_ties_by_age_across_rebuilds():
+    pool = C.CutPool(capacity=4)
+    cuts = [C.Cut.make({v: 1.0, v + 1: 1.0}, 1.0, C.PARALLEL_EDGE) for v in range(4)]
+    y = [0.6, 0.6, 0.6, 0.8, 0.8]
+    for cut in cuts[:3]:
+        pool.add(cut)
+    # violations 0.2, 0.2, 0.4: the larger first, then the older
+    assert C.scan_pool(pool, y) == [cuts[2], cuts[0], cuts[1]]
+    assert C.scan_pool(pool, y, limit=2) == [cuts[2], cuts[0]]
+    pool.add(cuts[3])  # appended to the matrix of the last scan
+    assert C.scan_pool(pool, y) == [cuts[3], cuts[2], cuts[0], cuts[1]]
+    pool.add(C.Cut.make({0: 1.0, 4: 1.0}, 2.0, C.PARALLEL_EDGE))  # evicts cuts[0]
+    assert C.scan_pool(pool, y) == [cuts[3], cuts[2], cuts[1]]
 
 
 def test_conflict_graph():
@@ -341,3 +361,187 @@ def test_rounding_heuristic_orients_like_decode_on_maximal_balanced_points():
                     kept.append(v)
             y = [1.0 if v in kept else 0.0 for v in range(g.n)]
             assert C.rounding_heuristic(g, y) == S._decode_integral(g, y)
+
+
+# ---------------------------------------------------------------------------
+# the Floyd–Warshall start filter of the odd-walk searches
+
+
+@st.composite
+def double_covers(draw):
+    """(n, arcs) in the form _dijkstra_odd_walk takes: each edge listed at
+    both ends; zero weights, a pair joined by both parities and a pair
+    joined twice by one parity all occur."""
+    n = draw(st.integers(min_value=1, max_value=7))
+    weight = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0.0, 2.0)
+    arcs = [[] for _ in range(n)]
+    for u, v in itertools.combinations(range(n), 2):
+        for bit in draw(st.sampled_from([(), (0,), (1,), (0, 1), (1, 1)])):
+            w = draw(weight)
+            arcs[u].append((v, bit, w))
+            arcs[v].append((u, bit, w))
+    return n, [sorted(lst) for lst in arcs]
+
+
+def walk_weight(arcs, walk):
+    return sum(
+        min(w for v, bit, w in arcs[a // 2] if v == b // 2 and bit == (a ^ b) & 1)
+        for a, b in zip(walk, walk[1:])
+    )
+
+
+# the only odd cycle is the triangle 1-2-3, so the odd walk through 0 goes
+# 0-1-2-3-1-0 and passes vertex 1 twice
+@example((4, [[(1, 0, 0.5)], [(0, 0, 0.5), (2, 1, 0.0), (3, 0, 0.25)], [(1, 1, 0.0), (3, 0, 0.0)],
+             [(1, 0, 0.25), (2, 0, 0.0)]]))
+@given(double_covers())
+@settings(max_examples=200, deadline=None)
+def test_odd_walk_bounds_are_the_shortest_odd_closed_walks(cover):
+    n, arcs = cover
+    bounds = C._odd_walk_bounds(arcs, list(range(n)))
+    for v in range(n):
+        walk = C._dijkstra_odd_walk(n, arcs, v, math.inf)
+        if walk is None:
+            assert bounds[v] == math.inf
+        else:
+            assert walk[0] == 2 * v and walk[-1] == 2 * v + 1
+            assert bounds[v] == pytest.approx(walk_weight(arcs, walk), abs=1e-9)
+
+
+def edge_point(n, rng):
+    """A point that mixes uniform values with the edge cases of the filter:
+    values just over 1, as the LP returns, and values next to VIOLATION_TOL."""
+    special = [0.0, 1.0, 1.0 + 1e-7, 1.0 + rng.random() * 1e-7, 1.0 - rng.random() * 1e-3,
+               C.VIOLATION_TOL - 1e-8, C.VIOLATION_TOL + 1e-8,
+               C.VIOLATION_TOL + (rng.random() - 0.5) * 2e-8]
+    return [rng.choice(special) if rng.random() < 0.6 else rng.random() for _ in range(n)]
+
+
+def reference_odd_cycle_separation(g, y, family):
+    """Either odd-walk separator without the start filter: Dijkstra from
+    every start, each cycle once, then the violated cuts, most violated
+    first, one per key."""
+    if family == "cycle":
+        arcs = [[] for _ in range(g.n)]
+        for u, v, s in g.edges:
+            w = max(0.0, (2.0 - y[u] - y[v]) / 2.0)
+            arcs[u].append((v, int(s == G.NEG), w))
+            arcs[v].append((u, int(s == G.NEG), w))
+        arcs = [sorted(lst) for lst in arcs]
+        starts = [v for v in range(g.n) if y[v] > C.VIOLATION_TOL]
+        simplify, make = (lambda cycle: cycle), C._cycle_cut
+    else:
+        conf = g.conflicts
+        arcs = [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])] for u in range(g.n)]
+        starts = [v for v in range(g.n) if conf[v]]
+        simplify = lambda cycle: C._shortcut_chords(conf, cycle)  # noqa: E731
+
+        def make(hole):
+            base = C.Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, C.LIFTED_ODD_HOLE)
+            return C._sequential_lift(g, base, C.LIFTED_ODD_HOLE)
+
+    seen, violated = set(), {}
+    for v in starts:
+        walk = C._dijkstra_odd_walk(g.n, arcs, v, 1.0 - C.VIOLATION_TOL)
+        if walk is None:
+            continue
+        key = C._canonical_cycle(simplify(C._simple_odd_cycle(walk)))
+        if key in seen:
+            continue
+        seen.add(key)
+        cut = make(key)
+        if cut.key not in violated and cut.violation(y) > C.VIOLATION_TOL:
+            violated[cut.key] = cut
+    return sorted(violated.values(), key=lambda c: (-c.violation(y), c.coeffs))[:100]
+
+
+def test_start_filter_keeps_every_cut_of_a_search_from_every_start():
+    rng = random.Random(11)
+    cases = []
+    for seed in range(16):
+        n, d = rng.randint(6, 14), rng.uniform(0.2, 0.8)
+        spec = (
+            I.RandomSpec(n, d, seed=seed, neg_ratio=rng.choice([0.5, 1.0, 2.0]))
+            if seed % 2
+            else I.RandomSpec(n, d, seed=seed, parallel_frac=rng.choice([0.25, 0.5, 0.75]))
+        )
+        g = I.generate(spec)
+        cases += [(g, edge_point(g.n, rng)) for _ in range(8)]
+    found = 0
+    for g, y in cases:
+        cycles = C.separate_odd_negative_cycle(g, y)
+        holes = C.separate_lifted_odd_hole(g, y)
+        assert cycles == reference_odd_cycle_separation(g, y, "cycle")
+        assert holes == reference_odd_cycle_separation(g, y, "hole")
+        found += bool(cycles) + bool(holes)
+    assert found > len(cases) // 2
+
+
+def test_cycle_search_passes_vertices_below_the_start_threshold():
+    # vertex 0 is no start (y_0 <= VIOLATION_TOL) but lies on the violated
+    # triangle: the walk from 1 weighs 1 - y_0 - e, e = 1e-7 the excess over 1
+    g = G.build(3, [(0, 1, "-"), (1, 2, "-"), (0, 2, "-")])
+    y = [C.VIOLATION_TOL - 1e-8, 1.0 + 1e-7, 1.0 + 1e-7]
+    (cut,) = C.separate_odd_negative_cycle(g, y)
+    assert dict(cut.coeffs) == {0: 1.0, 1: 1.0, 2: 1.0} and cut.rhs == 2.0
+
+
+# ---------------------------------------------------------------------------
+# the lifting stop
+
+
+def test_capped_balanced_subset_search_stops_at_the_cap():
+    for seed in range(12):
+        spec = (
+            I.RandomSpec(14, 0.5, seed=seed, neg_ratio=1.0)
+            if seed % 2
+            else I.RandomSpec(14, 0.5, seed=seed, parallel_frac=0.25)
+        )
+        g = I.generate(spec)
+        rng = random.Random(seed)
+        for _ in range(6):
+            vertices = set(rng.sample(range(g.n), rng.randint(3, g.n)))
+            required = rng.choice(sorted(vertices))
+            weights = {v: rng.randint(0, 8) / 4 for v in vertices if v != required}
+            args = (g.sign_masks, vertices, weights, required)
+            for budget in (7, 60, C.LIFT_BUDGET):
+                free = C._max_weight_balanced_subset(*args, budget)
+                total = sum(weights.values())
+                for cap in (free[0] - 0.25, free[0], free[0] + 0.25, rng.uniform(0, total), -math.inf):
+                    got = C._max_weight_balanced_subset(*args, budget, cap)
+                    if free[0] < cap:
+                        assert got == free
+                    else:
+                        assert got[0] >= cap and not got[1]
+
+
+def test_lifting_stop_keeps_every_lifted_cut(monkeypatch):
+    rng = random.Random(12)
+    cases = []
+    for seed in range(24):
+        spec = (
+            I.RandomSpec(14, 0.5, seed=seed, neg_ratio=rng.choice([0.5, 2.0]))
+            if seed % 2
+            else I.RandomSpec(14, 0.6, seed=seed, parallel_frac=rng.choice([0.25, 0.5, 0.75]))
+        )
+        g = I.generate(spec)
+        cases += [(g, random_fractional_point(g.n, rng)) for _ in range(4)]
+
+    def lifts():
+        out = []
+        for g, y in cases:
+            out.append([C.lift_odd_negative_cycle(g, cut) for cut in C.separate_odd_negative_cycle(g, y)])
+            out.append(C.separate_lifted_odd_hole(g, y))
+        return out
+
+    capped = lifts()
+    search = C._max_weight_balanced_subset
+    monkeypatch.setattr(
+        C, "_max_weight_balanced_subset",
+        lambda masks, vertices, weights, required, budget=C.LIFT_BUDGET, cap=None: search(
+            masks, vertices, weights, required, budget
+        ),
+    )
+    assert capped == lifts()
+    kinds = {cut.kind for cuts in capped for cut in cuts}
+    assert {C.LIFTED_CYCLE, C.LIFTED_ODD_HOLE} <= kinds
