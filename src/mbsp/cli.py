@@ -17,16 +17,25 @@ from .graph import GraphError, is_balanced
 from .spanning import TreeStrategy
 
 
-def _positive(kind):
-    """argparse type: a number of the given kind that is above zero."""
+def _checked(kind, ok, what):
+    """argparse type: a number of the given kind for which ok holds."""
 
     def parse(text):
-        if kind(text) <= 0:
-            raise argparse.ArgumentTypeError(f"must be positive: {text!r}")
-        return kind(text)
+        value = kind(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}: {text!r}")
+        return value
 
     parse.__name__ = kind.__name__  # argparse names the type in its errors
     return parse
+
+
+def _positive(kind):
+    return _checked(kind, lambda x: x > 0, "positive")
+
+
+def _nonnegative(kind):
+    return _checked(kind, lambda x: x >= 0, "non-negative")
 
 
 def _default_seed(args):
@@ -284,8 +293,8 @@ def build_parser():
     p.add_argument("instance")
     p.add_argument("--time-limit", type=float, default=3600.0)
     p.add_argument("--branching", choices=("cycle", "standard"), default="cycle")
-    p.add_argument("--max-rounds", type=int, default=10)
-    p.add_argument("--max-cuts", type=int, default=100)
+    p.add_argument("--max-rounds", type=_nonnegative(int), default=10)
+    p.add_argument("--max-cuts", type=_positive(int), default=100)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run methods over an instance directory")

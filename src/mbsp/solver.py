@@ -27,6 +27,11 @@ class SolveParams:
     def __post_init__(self):
         if self.branching not in (CYCLE, STANDARD):
             raise ValueError(f"unknown branching mode {self.branching!r}")
+        # with no cuts a round cannot cut off an unbalanced integral point
+        if self.max_cuts_per_round < 1:
+            raise ValueError(f"max_cuts_per_round must be at least 1, got {self.max_cuts_per_round}")
+        if self.max_cut_rounds < 0:
+            raise ValueError(f"max_cut_rounds must be at least 0, got {self.max_cut_rounds}")
 
 
 @dataclass

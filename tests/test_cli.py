@@ -108,6 +108,9 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
         ["bench", "--dir", "{d}", "--method", "ggmz", "--tree", "bogus"],
         ["bench", "--dir", "{d}", "--method", "grasp", "--iterations", "0"],
         ["bench", "--dir", "{d}", "--method", "grasp", "--time-limit", "0"],
+        ["solve", "{g}", "--max-cuts", "0"],
+        ["solve", "{g}", "--max-cuts", "-3"],
+        ["solve", "{g}", "--max-rounds", "-1"],
     ],
     ids=lambda a: f"{a[0]}{a[-2]}={a[-1]}",
 )

@@ -89,6 +89,23 @@ def test_rejects_unknown_branching():
         S.SolveParams(branching="dive")
 
 
+@pytest.mark.parametrize(
+    "params", [{"max_cuts_per_round": 0}, {"max_cuts_per_round": -3}, {"max_cut_rounds": -1}]
+)
+def test_rejects_cut_limits_that_cannot_separate(params):
+    with pytest.raises(ValueError):
+        S.SolveParams(**params)
+
+
+def test_solves_with_the_smallest_cut_limits():
+    # one cut per round and no fractional cut rounds still end optimal: an
+    # unbalanced integral point is always separated
+    g = I.generate(I.RandomSpec(10, 0.6, seed=4, parallel_frac=0.5))
+    opt, _ = I.brute_force(g)
+    r = S.solve(g, S.SolveParams(max_cut_rounds=0, max_cuts_per_round=1))
+    assert r.status == "optimal" and r.lower_bound == opt
+
+
 def test_time_limit_status():
     g = I.generate(I.RandomSpec(40, 0.75, seed=0, parallel_frac=0.25))
     r = S.solve(g, S.SolveParams(time_limit_seconds=0.05))
