@@ -14,8 +14,8 @@ from .graph import (
     switch,
 )
 from .spanning import TreeStrategy, edge_cost, spanning_forest
-from .ggmz import StableSetParams, ggmz, stable_set_grasp, switch_set_from_forest
-from .grasp import GraspParams, candidates, construct, grasp, local_search
+from .ggmz import StableSetParams, stable_set_grasp, switch_set_from_forest
+from .grasp import GraspParams, candidates, construct, local_search
 from .lp import LinearProgram, LpSolution, NumericalError, add_rows_and_resolve
 from .instances import RandomSpec, brute_force, generate, generate_balanced, read, write
 from .solver import SolveParams, SolveResult, solve
@@ -36,13 +36,11 @@ __all__ = [
     "edge_cost",
     "spanning_forest",
     "StableSetParams",
-    "ggmz",
     "stable_set_grasp",
     "switch_set_from_forest",
     "GraspParams",
     "candidates",
     "construct",
-    "grasp",
     "local_search",
     "LinearProgram",
     "LpSolution",

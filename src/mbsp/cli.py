@@ -79,7 +79,7 @@ def cmd_heuristic(args):
     t0 = time.monotonic()
     if args.method == "ggmz":
         params = StableSetParams(time_limit_seconds=args.time_limit, seed=seed)
-        p = ggmz(g, TreeStrategy.from_token(args.tree), params)
+        p = ggmz(g, TreeStrategy(args.tree), params)
     else:
         params = GraspParams(
             max_iterations=args.iterations, time_limit_seconds=args.time_limit, seed=seed
@@ -150,11 +150,11 @@ def _bench_one(task):
         "group": 2 if n_par else 1,
     }
     t0 = time.monotonic()
-    if method == "ggmz":
-        p = ggmz(g, TreeStrategy.from_token(tree), StableSetParams(time_limit_seconds=time_limit, seed=seed))
-        base.update(status="heuristic", lb=p.size(), ub="", gap_pct="", nodes="")
-    elif method == "grasp":
-        p = grasp(g, GraspParams(max_iterations=iterations, time_limit_seconds=time_limit, seed=seed))
+    if method != "bc":
+        if method == "ggmz":
+            p = ggmz(g, TreeStrategy(tree), StableSetParams(time_limit_seconds=time_limit, seed=seed))
+        else:
+            p = grasp(g, GraspParams(max_iterations=iterations, time_limit_seconds=time_limit, seed=seed))
         base.update(status="heuristic", lb=p.size(), ub="", gap_pct="", nodes="")
     else:
         try:
@@ -230,26 +230,7 @@ def cmd_bench(args):
     out_lines = [CSV_HEADER]
     for r in rows:
         time_cell = "" if args.omit_times else f"{r['time_s']:.2f}"
-        out_lines.append(
-            ",".join(
-                str(r[k]) if k != "time_s" else time_cell
-                for k in [
-                    "instance",
-                    "n",
-                    "m",
-                    "m_minus",
-                    "m_plus",
-                    "m_parallel",
-                    "method",
-                    "time_s",
-                    "status",
-                    "lb",
-                    "ub",
-                    "gap_pct",
-                    "nodes",
-                ]
-            )
-        )
+        out_lines.append(",".join(str(r[k]) if k != "time_s" else time_cell for k in CSV_HEADER.split(",")))
     out_lines.append("")
     out_lines.extend(_aggregate(rows, omit_times=args.omit_times))
     text = "\n".join(out_lines) + "\n"
@@ -291,7 +272,7 @@ def build_parser():
 
     p = sub.add_parser("solve", help="exact branch-and-cut")
     p.add_argument("instance")
-    p.add_argument("--time-limit", type=float, default=3600.0)
+    p.add_argument("--time-limit", type=_nonnegative(float), default=3600.0)
     p.add_argument("--branching", choices=("cycle", "standard"), default="cycle")
     p.add_argument("--max-rounds", type=_nonnegative(int), default=10)
     p.add_argument("--max-cuts", type=_positive(int), default=100)

@@ -67,9 +67,6 @@ class CutPool:
     def __len__(self):
         return len(self._cuts)
 
-    def __iter__(self):
-        return iter(self._cuts.values())
-
     def add(self, cut: Cut) -> bool:
         if cut.key in self._cuts:
             return False

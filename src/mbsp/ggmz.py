@@ -6,47 +6,31 @@ import random
 import time
 from dataclasses import dataclass
 
-from .graph import NEG, Bipartition, SignedGraph, bits, negative_part, switch
+from .graph import Bipartition, SignedGraph, UnionFind, bits, is_balanced, negative_part, switch
 from .spanning import TreeStrategy, spanning_forest
 
 RCL_ALPHA = 0.3  # RCL width of the degree-greedy construction
+MAX_STALL_ITERATIONS = 100  # constructions without improvement before stopping
 
 
 @dataclass
 class StableSetParams:
-    max_stall_iterations: int = 100
     time_limit_seconds: float = 300.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_stall_iterations <= 0 or self.time_limit_seconds <= 0:
-            raise ValueError("limits must be positive")
+        if not self.time_limit_seconds > 0:  # also rejects NaN
+            raise ValueError(f"time_limit_seconds must be positive, got {self.time_limit_seconds}")
 
 
 def switch_set_from_forest(t: SignedGraph) -> frozenset:
-    """Switch set W making the forest t all-positive.
-
-    Roots each tree at its lowest-index vertex; a child joins W iff its label
-    (parent label XOR edge-is-negative) is 1.  Iterative, so path graphs of
-    any length are fine.
-    """
-    label = [None] * t.n
-    components = 0
-    for root in range(t.n):
-        if label[root] is not None:
-            continue
-        components += 1
-        label[root] = 0
-        stack = [root]
-        while stack:
-            u = stack.pop()
-            for v, ss in t.signs[u].items():
-                if label[v] is None:
-                    label[v] = label[u] ^ (NEG in ss)
-                    stack.append(v)
-    if t.m != t.n - components:
+    """Switch set W making the forest t all-positive; the lowest vertex of
+    each tree stays out of W.  A forest is always balanced, so W is the
+    switch set of its balance test."""
+    components = UnionFind(t.n)
+    if not all(components.union(u, v) for u, v, _ in t.edges):
         raise ValueError("input has a cycle; expected a forest")
-    return frozenset(v for v in range(t.n) if label[v] == 1)
+    return is_balanced(t)
 
 
 def _greedy_stable_set(adj, n, rng):
@@ -98,7 +82,7 @@ def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     rng = random.Random(params.seed)
     deadline = time.monotonic() + params.time_limit_seconds
     best = stall = 0
-    while stall < params.max_stall_iterations and time.monotonic() < deadline:
+    while stall < MAX_STALL_ITERATIONS and time.monotonic() < deadline:
         cand = _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng))
         if cand.bit_count() > best.bit_count():
             best = cand

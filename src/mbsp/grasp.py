@@ -23,7 +23,7 @@ class GraspParams:
     seed: int = 0
 
     def __post_init__(self):
-        if self.max_iterations <= 0 or self.time_limit_seconds <= 0:
+        if self.max_iterations <= 0 or not self.time_limit_seconds > 0:  # also rejects NaN
             raise ValueError("limits must be positive")
 
 

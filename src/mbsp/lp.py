@@ -106,7 +106,7 @@ def add_rows_and_resolve(lp: LinearProgram, sol: LpSolution, new_rows) -> LpSolu
 
 def _dual_simplex(lp: LinearProgram, start):
     """Run the dual simplex from start, or from the slack basis when start is
-    None (B = I, so no factoring); None if start is unusable."""
+    None; None if start is unusable."""
     n, m = lp.n, len(lp.rows)
     ncols = n + m
     # columns: structurals | slacks, with a.y + s = b
@@ -130,13 +130,13 @@ def _dual_simplex(lp: LinearProgram, start):
     c = np.zeros(ncols)
     c[:n] = lp.objective
 
-    if start is None:
-        status = np.full(ncols, BASIC)
-        status[:n] = np.where(c[:n] > 0, UPPER, LOWER)
-    else:
-        if len(start.cols) != n or len(start.rows) != m:
-            return None
-        status = np.array(list(start.cols) + [BASIC if s is None else s for s in start.rows])
+    cold = start is None
+    if cold:
+        # B = I factors exactly, so the tableau below is [A | b] over c
+        start = Basis(tuple(np.where(c[:n] > 0, UPPER, LOWER)), (None,) * m)
+    if len(start.cols) != n or len(start.rows) != m:
+        return None
+    status = np.array(list(start.cols) + [BASIC if s is None else s for s in start.rows])
     basis = np.nonzero(status == BASIC)[0]
     if basis.size != m:
         return None
@@ -146,26 +146,21 @@ def _dual_simplex(lp: LinearProgram, start):
     movable = (status != BASIC) & (hi > lo)
 
     tab = np.zeros((m + 1, ncols + 1))  # [B^-1 A | x_B] over [reduced costs | -]
-    if start is None:
-        tab[:m, :ncols] = A
-        tab[:m, -1] = b
-        tab[m, :ncols] = c
-    else:
-        try:
-            tab[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
-        except np.linalg.LinAlgError:
-            return None
-        if not np.isfinite(tab).all() or np.abs(tab[:m, basis] - np.eye(m)).max(initial=0.0) > 1e-9:
-            return None
-        tab[m, :ncols] = c - c[basis] @ tab[:m, :ncols]
-        tab[m, basis] = 0.0
-        # a structural whose reduced cost favours its other bound moves there;
-        # a slack cannot, so that start is unusable
-        d = tab[m, :ncols]
-        wrong = movable & np.where(at_upper, d < -OPT_TOL, d > OPT_TOL)
-        if wrong[n:].any():
-            return None
-        at_upper[wrong] = ~at_upper[wrong]
+    try:
+        tab[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(tab).all() or np.abs(tab[:m, basis] - np.eye(m)).max(initial=0.0) > 1e-9:
+        return None
+    tab[m, :ncols] = c - c[basis] @ tab[:m, :ncols]
+    tab[m, basis] = 0.0
+    # a structural whose reduced cost favours its other bound moves there;
+    # a slack cannot, so that start is unusable
+    d = tab[m, :ncols]
+    wrong = movable & np.where(at_upper, d < -OPT_TOL, d > OPT_TOL)
+    if wrong[n:].any():
+        return None
+    at_upper[wrong] = ~at_upper[wrong]
     x = np.where(at_upper, hi, lo)
     x[basis] = 0.0
     tab[:m, -1] -= tab[:m, :ncols] @ x
@@ -187,7 +182,7 @@ def _dual_simplex(lp: LinearProgram, start):
         # entering candidates move the leaving variable towards its bound
         cand = np.nonzero(movable & np.where(at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL))[0]
         if cand.size == 0:
-            return LpSolution(status="infeasible", pivots=pivots, cold_start=start is None)
+            return LpSolution(status="infeasible", pivots=pivots, cold_start=cold)
         ratios = np.maximum(tab[m, cand] / alpha[cand], 0.0)
         t = ratios.min()
         ties = cand[ratios <= t + 1e-12]
@@ -224,5 +219,5 @@ def _dual_simplex(lp: LinearProgram, start):
         objective_value=float(c[:n] @ values),
         basis=Basis(tuple(status[:n].tolist()), tuple(status[n:].tolist())),
         pivots=pivots,
-        cold_start=start is None,
+        cold_start=cold,
     )

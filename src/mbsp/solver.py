@@ -25,6 +25,8 @@ class SolveParams:
     branching: str = CYCLE  # "cycle" | "standard"
 
     def __post_init__(self):
+        if not self.time_limit_seconds >= 0:  # also rejects NaN
+            raise ValueError(f"time_limit_seconds must be non-negative, got {self.time_limit_seconds}")
         if self.branching not in (CYCLE, STANDARD):
             raise ValueError(f"unknown branching mode {self.branching!r}")
         # with no cuts a round cannot cut off an unbalanced integral point
@@ -148,9 +150,6 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         "cuts_by_kind": {}, "wall_time": 0.0,
     }
 
-    if g.n == 0:
-        return SolveResult(Bipartition(), 0, 0.0, "optimal", stats)
-
     pool = C.CutPool()
     initial = list(C.initial_formulation(g))
     for cut in initial:
@@ -162,35 +161,27 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     def note_cut(cut):
         stats["cuts_by_kind"][cut.kind] = stats["cuts_by_kind"].get(cut.kind, 0) + 1
 
-    root = SearchNode({}, [], float(g.n), 0, ())
+    root = SearchNode({}, [], float(g.n), 0, tuple(initial))
     counter = 0
     heap = [(-root.bound, counter, root)]
     status = "optimal"
-    ub_on_stop = None
 
     while heap:
         if time.monotonic() >= deadline:
             status = "time_limit"
-            ub_on_stop = max(lb, max(-h[0] for h in heap))
             break
         _, _, node = heapq.heappop(heap)
         if node.bound <= lb + 1 - INT_TOL:
             continue
         stats["nodes"] += 1
 
-        # cut loop; the root starts from the full formulation, deeper nodes
-        # from the rows that were tight at the parent (the pool re-supplies
-        # anything that becomes violated again)
-        if node.depth == 0:
-            active_cuts = list(initial) + list(node.cuts)
-        else:
-            active_cuts = list(node.cuts)
+        # cut loop from the rows that were tight at the parent (the root's
+        # are the full formulation); the pool re-supplies anything that
+        # becomes violated again
+        active_cuts = list(node.cuts)
         rounds = 0
-        y = None
-        bound = None
         prev_bound = None
         prune = False
-        timed_out = False
         # every LP starts from the last optimal basis, the parent's at first;
         # rows the basis does not name are new or had basic slacks
         basis = node.basis
@@ -234,7 +225,11 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 break
             prev_bound = bound
             if time.monotonic() >= deadline:
-                timed_out = True
+                # the node goes back open at its LP bound, and the deadline
+                # check of the search loop stops the search
+                counter += 1
+                heapq.heappush(heap, (-bound, counter, node))
+                prune = True
                 break
             new_cuts = C.scan_pool(pool, y, params.max_cuts_per_round)
             if not new_cuts:
@@ -268,34 +263,23 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
 
         if prune:
             continue
-        if timed_out or y is None:
-            status = "time_limit"
-            open_bounds = [-h[0] for h in heap]
-            if bound is not None:
-                open_bounds.append(bound)
-            ub_on_stop = max([lb] + open_bounds)
-            break
+        if integral:
+            # unbalanced integral point survived the cut loop: branch cannot
+            # help, but exact separation guarantees this is unreachable
+            raise AssertionError("integral infeasible point not separated")
+        # the rounding heuristic of the last cut round may have closed the gap
+        if bound <= lb + 1 - INT_TOL:
+            continue
 
         # children inherit only the cuts still doing work at this node's point;
         # anything dropped stays in the pool and can return via scan_pool
         tight = tuple(cut for cut in active_cuts if cut.violation(y) >= -0.01)
         node = SearchNode(node.fixings, node.extra_rows, bound, node.depth, tight, basis)
-
-        if _is_integral(y):
-            # unbalanced integral point survived the cut loop: branch cannot
-            # help, but exact separation guarantees this is unreachable
-            raise AssertionError("integral infeasible point not separated")
-
         for child in branch(node, y, active_cuts, params.branching):
-            child.bound = bound
-            if child.bound <= lb + 1 - INT_TOL:
-                continue
             counter += 1
-            heapq.heappush(heap, (-child.bound, counter, child))
+            heapq.heappush(heap, (-bound, counter, child))
 
     stats["wall_time"] = time.monotonic() - start
-    if status == "optimal":
-        ub = float(lb)
-    else:
-        ub = float(ub_on_stop if ub_on_stop is not None else max(lb, g.n))
+    # at a stop, the best open node bounds every unexplored region
+    ub = float(lb) if status == "optimal" else float(max(lb, -heap[0][0]))
     return SolveResult(best, lb, ub, status, stats)

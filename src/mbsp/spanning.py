@@ -17,13 +17,6 @@ class TreeStrategy(enum.Enum):
     KRUSKAL_RANDOM = "random"
     KRUSKAL_ADAPTIVE = "adaptive"
 
-    @classmethod
-    def from_token(cls, token):
-        for s in cls:
-            if s.value == token:
-                return s
-        raise ValueError(f"unknown tree strategy {token!r}")
-
 
 KRUSKAL_STRATEGIES = {
     TreeStrategy.KRUSKAL_F1,

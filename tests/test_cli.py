@@ -111,6 +111,8 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
         ["solve", "{g}", "--max-cuts", "0"],
         ["solve", "{g}", "--max-cuts", "-3"],
         ["solve", "{g}", "--max-rounds", "-1"],
+        ["solve", "{g}", "--time-limit", "-1"],
+        ["solve", "{g}", "--time-limit", "nan"],
     ],
     ids=lambda a: f"{a[0]}{a[-2]}={a[-1]}",
 )

@@ -35,10 +35,50 @@ def test_switch_set_on_forest_with_isolated_vertices():
     assert not G.switch(t, w).e_minus
 
 
-def test_switch_set_rejects_cyclic_input():
-    g = G.build(3, [(0, 1, "+"), (1, 2, "+"), (0, 2, "+")])
+@pytest.mark.parametrize(
+    "edges",
+    [[(0, 1, "+"), (1, 2, "+"), (0, 2, "+")], [(0, 1, "+"), (0, 1, "-")]],
+    ids=["triangle", "parallel-pair"],
+)
+def test_switch_set_rejects_cyclic_input(edges):
+    g = G.build(3, edges)
     with pytest.raises(ValueError):
         GZ.switch_set_from_forest(g)
+
+
+def _switch_set_reference(t):
+    """DFS labelling of each tree from its lowest vertex: a vertex joins W
+    iff its parent's label XOR the edge being negative is 1."""
+    label = [None] * t.n
+    for root in range(t.n):
+        if label[root] is not None:
+            continue
+        label[root] = 0
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, ss in t.signs[u].items():
+                if label[v] is None:
+                    label[v] = label[u] ^ ("-" in ss)
+                    stack.append(v)
+    return frozenset(v for v in range(t.n) if label[v] == 1)
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_switch_set_matches_dfs_reference(strategy):
+    for seed in range(8):
+        for spec in (
+            I.RandomSpec(12 + seed, 0.1 + 0.1 * seed, seed=seed, neg_ratio=1.0),
+            I.RandomSpec(12 + seed, 0.1 + 0.1 * seed, seed=seed, parallel_frac=0.5),
+        ):
+            t = SP.spanning_forest(I.generate(spec), strategy, random.Random(seed))
+            assert GZ.switch_set_from_forest(t) == _switch_set_reference(t)
+
+
+@pytest.mark.parametrize("limit", [float("nan"), 0.0, -1.0])
+def test_params_reject_a_time_limit_that_is_not_positive(limit):
+    with pytest.raises(ValueError):
+        GZ.StableSetParams(time_limit_seconds=limit)
 
 
 def test_stable_set_grasp_is_stable_and_maximal():

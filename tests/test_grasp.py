@@ -2,6 +2,7 @@ import importlib
 import random
 import time
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -218,6 +219,15 @@ def test_candidates_are_the_feasible_insertions(gp, side):
     want = {i for i in range(g.n) if i not in p.selected and G.is_feasible(g, grown(i))}
     assert GR.candidates(g, p, side) == want
     assert GR.candidates(g, p, side) == _candidates_reference(g, p, side)
+
+
+@pytest.mark.parametrize(
+    "params",
+    [{"time_limit_seconds": float("nan")}, {"time_limit_seconds": 0.0}, {"max_iterations": 0}],
+)
+def test_params_reject_limits_that_are_not_positive(params):
+    with pytest.raises(ValueError):
+        GR.GraspParams(**params)
 
 
 def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():

@@ -97,6 +97,12 @@ def test_rejects_cut_limits_that_cannot_separate(params):
         S.SolveParams(**params)
 
 
+@pytest.mark.parametrize("limit", [float("nan"), -1.0])
+def test_rejects_a_negative_or_nan_time_limit(limit):
+    with pytest.raises(ValueError):
+        S.SolveParams(time_limit_seconds=limit)
+
+
 def test_solves_with_the_smallest_cut_limits():
     # one cut per round and no fractional cut rounds still end optimal: an
     # unbalanced integral point is always separated
@@ -113,6 +119,42 @@ def test_time_limit_status():
     if r.status == "time_limit":
         assert r.upper_bound >= r.lower_bound
         assert G.is_feasible(g, r.best)
+
+
+class CountingClock:
+    """Stands in for the solver's `time`: each reading is one tick later."""
+
+    def __init__(self):
+        self.ticks = -1
+
+    def monotonic(self):
+        self.ticks += 1
+        return float(self.ticks)
+
+
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_stop_at_every_deadline_keeps_valid_bounds(monkeypatch, mode):
+    # a time limit of k ticks stops the search at the k-th clock reading
+    # after the start, wherever that falls: between nodes or in a cut loop
+    stops = 0
+    for seed in range(4):
+        for spec in (
+            I.RandomSpec(10, 0.6, seed=seed, neg_ratio=1.0),
+            I.RandomSpec(10, 0.6, seed=seed, parallel_frac=0.5),
+        ):
+            g = I.generate(spec)
+            opt, _ = I.brute_force(g)
+            for k in itertools.count():
+                monkeypatch.setattr(S, "time", CountingClock())
+                r = S.solve(g, S.SolveParams(branching=mode, time_limit_seconds=k))
+                assert r.lower_bound <= opt <= r.upper_bound, (spec, k)
+                assert G.is_feasible(g, r.best) and r.best.size() == r.lower_bound
+                if r.status == "optimal":
+                    assert r.upper_bound == r.lower_bound == opt
+                    break
+                assert r.status == "time_limit"
+                stops += 1
+    assert stops >= 20
 
 
 def test_standard_branching_partitions_region():

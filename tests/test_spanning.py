@@ -124,7 +124,7 @@ def test_bfs_and_dfs_differ_on_a_cycle():
 
 
 def test_from_token():
-    assert SP.TreeStrategy.from_token("bfs") is SP.TreeStrategy.BFS
-    assert SP.TreeStrategy.from_token("adaptive") is SP.TreeStrategy.KRUSKAL_ADAPTIVE
+    assert SP.TreeStrategy("bfs") is SP.TreeStrategy.BFS
+    assert SP.TreeStrategy("adaptive") is SP.TreeStrategy.KRUSKAL_ADAPTIVE
     with pytest.raises(ValueError):
-        SP.TreeStrategy.from_token("nope")
+        SP.TreeStrategy("nope")
