@@ -127,6 +127,8 @@ def _dual_simplex(lp: LinearProgram, start):
             lo[n + i] = -_INF
         elif rel != EQ:
             raise ValueError(f"bad relation {rel!r}")
+    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+        raise ValueError("row coefficients and right-hand sides must be finite")
     c = np.zeros(ncols)
     c[:n] = lp.objective
 

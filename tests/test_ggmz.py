@@ -35,15 +35,11 @@ def test_switch_set_on_forest_with_isolated_vertices():
     assert not G.switch(t, w).e_minus
 
 
-@pytest.mark.parametrize(
-    "edges",
-    [[(0, 1, "+"), (1, 2, "+"), (0, 2, "+")], [(0, 1, "+"), (0, 1, "-")]],
-    ids=["triangle", "parallel-pair"],
-)
-def test_switch_set_rejects_cyclic_input(edges):
-    g = G.build(3, edges)
-    with pytest.raises(ValueError):
-        GZ.switch_set_from_forest(g)
+def test_switch_set_rejects_cyclic_input():
+    # a parallel pair is a cycle of two edges
+    for edges in ([(0, 1, "+"), (1, 2, "+"), (0, 2, "+")], [(0, 1, "+"), (0, 1, "-")]):
+        with pytest.raises(ValueError):
+            GZ.switch_set_from_forest(G.build(3, edges))
 
 
 def _switch_set_reference(t):
@@ -59,7 +55,7 @@ def _switch_set_reference(t):
             u = stack.pop()
             for v, ss in t.signs[u].items():
                 if label[v] is None:
-                    label[v] = label[u] ^ ("-" in ss)
+                    label[v] = label[u] ^ (G.NEG in ss)
                     stack.append(v)
     return frozenset(v for v in range(t.n) if label[v] == 1)
 

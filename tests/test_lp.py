@@ -126,6 +126,15 @@ def test_rejects_bad_bounds(bounds):
         LP.LinearProgram([1.0, 1.0], [], [(0.0, 1.0), bounds])
 
 
+@pytest.mark.parametrize(
+    "row",
+    [({0: float("inf"), 1: 1.0}, LP.LE, 1.0), ({0: float("nan")}, LP.GE, 0.0), ({0: 1.0}, LP.LE, float("inf"))],
+)
+def test_rejects_rows_that_are_not_finite(row):
+    with pytest.raises(ValueError):
+        LP.solve(LP.LinearProgram([1.0, 1.0], [row]))
+
+
 def test_empty_program_has_valid_bounds():
     assert LP.LinearProgram([]).bounds == []
     assert LP.LinearProgram([], [], []).n == 0
