@@ -109,9 +109,10 @@ def _dual_simplex(lp: LinearProgram, start):
     None; None if start is unusable."""
     n, m = lp.n, len(lp.rows)
     ncols = n + m
-    # columns: structurals | slacks, with a.y + s = b
-    A = np.zeros((m, ncols))
-    b = np.zeros(m)
+    # the tableau [B^-1 A | x_B] over [reduced costs | -], first filled with
+    # [A | b]; columns: structurals | slacks, with a.y + s = b
+    tab = np.zeros((m + 1, ncols + 1))
+    A, b = tab[:m, :ncols], tab[:m, -1]
     lo = np.zeros(ncols)
     hi = np.zeros(ncols)
     lo[:n] = [bb[0] for bb in lp.bounds]
@@ -127,7 +128,7 @@ def _dual_simplex(lp: LinearProgram, start):
             lo[n + i] = -_INF
         elif rel != EQ:
             raise ValueError(f"bad relation {rel!r}")
-    if not (np.isfinite(A).all() and np.isfinite(b).all()):
+    if not np.isfinite(tab).all():
         raise ValueError("row coefficients and right-hand sides must be finite")
     c = np.zeros(ncols)
     c[:n] = lp.objective
@@ -147,9 +148,8 @@ def _dual_simplex(lp: LinearProgram, start):
     at_upper[n:] = np.isinf(lo[n:])
     movable = (status != BASIC) & (hi > lo)
 
-    tab = np.zeros((m + 1, ncols + 1))  # [B^-1 A | x_B] over [reduced costs | -]
     try:
-        tab[:m] = np.linalg.solve(A[:, basis], np.column_stack([A, b]))
+        tab[:m] = np.linalg.solve(A[:, basis], tab[:m])
     except np.linalg.LinAlgError:
         return None
     if not np.isfinite(tab).all() or np.abs(tab[:m, basis] - np.eye(m)).max(initial=0.0) > 1e-9:
