@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import json
+import math
 import os
 import sys
 import time
@@ -42,7 +43,10 @@ def _default_seed(args):
     if getattr(args, "seed", None) is not None:
         return args.seed
     env = os.environ.get("MBSP_SEED")
-    return int(env) if env else 0
+    try:
+        return int(env) if env else 0
+    except ValueError:
+        raise SystemExit(f"mbsp: error: MBSP_SEED must be an integer: {env!r}") from None
 
 
 def cmd_generate(args):
@@ -250,9 +254,11 @@ def build_parser():
     p = sub.add_parser("generate", help="generate a random instance")
     p.add_argument("--group", type=int, choices=(1, 2), required=True)
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--ratio", type=float, help="group 1: |E-|/|E+|")
-    p.add_argument("--parallel", type=float, help="group 2: parallel fraction of |E|")
+    fraction = _checked(float, lambda x: 0 < x <= 1, "in (0, 1]")
+    ratio = _checked(float, lambda x: 0 <= x < math.inf, "non-negative and finite")
+    p.add_argument("--d", type=fraction, required=True)
+    p.add_argument("--ratio", type=ratio, help="group 1: |E-|/|E+|")
+    p.add_argument("--parallel", type=fraction, help="group 2: parallel fraction of |E|")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate)

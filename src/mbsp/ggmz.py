@@ -63,10 +63,11 @@ def _exchange(adj, full, stable):
     return None
 
 
-def _one_two_exchange(adj, n, stable):
-    """Improve by removing one member and adding two non-adjacent outsiders."""
+def _one_two_exchange(adj, n, stable, deadline):
+    """Improve by removing one member and adding two non-adjacent outsiders,
+    until no exchange is left or the deadline (time.monotonic) passes."""
     full = (1 << n) - 1
-    while (better := _exchange(adj, full, stable)) is not None:
+    while time.monotonic() < deadline and (better := _exchange(adj, full, stable)) is not None:
         stable = better
     # maximalize: the exchange may leave room for more vertices
     for v in bits(full & ~stable):
@@ -75,21 +76,51 @@ def _one_two_exchange(adj, n, stable):
     return stable
 
 
+def _stable_set_bound(adj, n):
+    """Upper bound on the stability number of the graph with neighbour
+    bitmasks adj.  A vertex of degree <= 1 lies in some maximum stable set,
+    so each one taken with its closed neighbourhood deleted counts 1, which
+    is exact on forests; a greedy clique cover of the rest adds one per
+    clique, since a stable set meets a clique at most once."""
+    alive = (1 << n) - 1
+    bound = 0
+    taken = True
+    while taken:
+        taken = False
+        for v in bits(alive):
+            if alive >> v & 1 and (adj[v] & alive).bit_count() <= 1:
+                alive &= ~(adj[v] | 1 << v)
+                bound += 1
+                taken = True
+    while alive:
+        clique = alive & -alive
+        rest = adj[clique.bit_length() - 1] & alive
+        while rest:
+            u = rest & -rest
+            clique |= u
+            rest &= adj[u.bit_length() - 1]
+        alive &= ~clique
+        bound += 1
+    return bound
+
+
 def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     """Maximal stable set of h (signs ignored) via randomized construction
-    plus (1,2)-exchange local search; best kept over iterations."""
+    plus (1,2)-exchange local search; best kept over iterations, which stop
+    once the best set is as large as _stable_set_bound."""
     adj = [plus | minus for plus, minus in h.sign_masks]
     rng = random.Random(params.seed)
     deadline = time.monotonic() + params.time_limit_seconds
+    bound = _stable_set_bound(adj, h.n)
     best = stall = 0
     while stall < MAX_STALL_ITERATIONS and time.monotonic() < deadline:
-        cand = _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng))
+        cand = _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng), deadline)
         if cand.bit_count() > best.bit_count():
             best = cand
             stall = 0
         else:
             stall += 1
-        if best.bit_count() == h.n:
+        if best.bit_count() == bound:  # best is maximum
             break
     return set(bits(best))
 

@@ -27,8 +27,13 @@ class RandomSpec:
     def __post_init__(self):
         if (self.neg_ratio is None) == (self.parallel_frac is None):
             raise ValueError("set exactly one of neg_ratio / parallel_frac")
-        if self.parallel_frac is not None and self.parallel_frac <= 0:
-            raise ValueError("parallel_frac must be positive (use neg_ratio for group 1)")
+        # each check is written so that NaN fails it
+        if not 0 < self.density <= 1:
+            raise ValueError(f"density must be in (0, 1], got {self.density}")
+        if self.neg_ratio is not None and not 0 <= self.neg_ratio < math.inf:
+            raise ValueError(f"neg_ratio must be non-negative and finite, got {self.neg_ratio}")
+        if self.parallel_frac is not None and not 0 < self.parallel_frac <= 1:
+            raise ValueError(f"parallel_frac must be in (0, 1], got {self.parallel_frac}")
         if self.density * self.n * (self.n - 1) / 2 < 1:
             raise ValueError("density too low: no edges")
 

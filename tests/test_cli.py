@@ -54,6 +54,13 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     assert set(got.edges) == set(expect.edges)
 
 
+def test_seed_env_that_is_not_an_integer_is_a_one_line_error(capsys, monkeypatch):
+    monkeypatch.setenv("MBSP_SEED", "abc")
+    with pytest.raises(SystemExit) as exc:
+        cli.run(["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "1.0"])
+    assert exc.value.code == "mbsp: error: MBSP_SEED must be an integer: 'abc'"
+
+
 def test_check_balanced(tmp_path, capsys):
     path = tmp_path / "b.mbsp"
     I.write(I.generate_balanced(10, 0.5, seed=0), path)
@@ -113,6 +120,13 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
         ["solve", "{g}", "--max-rounds", "-1"],
         ["solve", "{g}", "--time-limit", "-1"],
         ["solve", "{g}", "--time-limit", "nan"],
+        ["generate", "--group", "1", "--n", "8", "--ratio", "1", "--d", "1.5"],
+        ["generate", "--group", "1", "--n", "8", "--ratio", "1", "--d", "0"],
+        ["generate", "--group", "1", "--n", "8", "--ratio", "1", "--d", "nan"],
+        ["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "-1"],
+        ["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "inf"],
+        ["generate", "--group", "2", "--n", "8", "--d", "0.5", "--parallel", "1.5"],
+        ["generate", "--group", "2", "--n", "8", "--d", "0.5", "--parallel", "0"],
     ],
     ids=lambda a: f"{a[0]}{a[-2]}={a[-1]}",
 )

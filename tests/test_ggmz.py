@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -209,5 +210,110 @@ def test_one_two_exchange_matches_set_reference():
             masks = mask_adjacency(h)
             greedy = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
             for start in (greedy, sum(1 << v for v in G.bits(greedy)[::2])):
-                got = set(G.bits(GZ._one_two_exchange(masks, h.n, start)))
+                got = set(G.bits(GZ._one_two_exchange(masks, h.n, start, math.inf)))
                 assert got == _one_two_exchange_reference(adj, h.n, set(G.bits(start)))
+
+
+def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
+    # a fake clock advancing one tick per reading from 0: with deadline k
+    # the exchange loop reads 0, 1, ... and exchanges only below k, so at
+    # most k times
+    clock = [-1]
+    seen = []
+    exchange = GZ._exchange
+
+    def monotonic():
+        clock[0] += 1
+        return clock[0]
+
+    def recording(*args):
+        seen.append(clock[0])
+        return exchange(*args)
+
+    monkeypatch.setattr(GZ.time, "monotonic", monotonic)
+    monkeypatch.setattr(GZ, "_exchange", recording)
+    for seed in range(4):
+        h = G.negative_part(I.generate(I.RandomSpec(24, 0.3, seed=seed, neg_ratio=1.0)))
+        masks = mask_adjacency(h)
+        greedy = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
+        start = sum(1 << v for v in G.bits(greedy)[::2])
+        free_run = _one_two_exchange_reference([set(nbrs) for nbrs in h.signs], h.n, set(G.bits(start)))
+        for k in range(12):
+            clock[0], seen[:] = -1, []
+            stable = GZ._one_two_exchange(masks, h.n, start, k)
+            assert len(seen) <= k and all(t < k for t in seen)
+            for u in G.bits(stable):
+                assert not masks[u] & stable  # stable
+            for v in range(h.n):
+                assert stable >> v & 1 or masks[v] & stable  # maximal
+            if len(seen) < k:  # the deadline did not bind
+                assert set(G.bits(stable)) == free_run
+        assert len(seen) > 1, "no exchange ran"
+
+
+def test_stable_set_bound_is_an_upper_bound():
+    for seed in range(12):
+        for d in (0.1, 0.3, 0.5, 0.7, 0.9):
+            for spec in (
+                I.RandomSpec(8 + seed % 5, d, seed=seed, neg_ratio=1.0),
+                I.RandomSpec(8 + seed % 5, d, seed=seed, parallel_frac=0.5),
+            ):
+                g = I.generate(spec)
+                adj = [set(nbrs) for nbrs in g.signs]
+                assert GZ._stable_set_bound(mask_adjacency(g), g.n) >= max_stable_set_size(adj, g.n)
+
+
+def random_forest(n, seed):
+    rng = random.Random(seed)
+    return G.build(n, [(rng.randrange(v), v, "-") for v in range(1, n) if rng.random() < 0.8])
+
+
+def test_stable_set_bound_is_exact_on_forests():
+    for seed in range(40):
+        t = random_forest(1 + seed % 12, seed)
+        adj = [set(nbrs) for nbrs in t.signs]
+        assert GZ._stable_set_bound(mask_adjacency(t), t.n) == max_stable_set_size(adj, t.n)
+
+
+def test_stable_set_grasp_stops_at_the_bound_on_a_forest(monkeypatch):
+    calls = []
+    greedy = GZ._greedy_stable_set
+    monkeypatch.setattr(GZ, "_greedy_stable_set", lambda *a: calls.append(a) or greedy(*a))
+    for seed in range(5):
+        calls.clear()
+        GZ.stable_set_grasp(random_forest(40, seed), GZ.StableSetParams(seed=seed))
+        assert len(calls) == 1
+
+
+def _stable_set_grasp_reference(h, params):
+    """The loop without the bound: it stops after MAX_STALL_ITERATIONS
+    constructions without improvement, or once the set holds every vertex."""
+    adj = mask_adjacency(h)
+    rng = random.Random(params.seed)
+    best = stall = 0
+    while stall < GZ.MAX_STALL_ITERATIONS:
+        cand = GZ._one_two_exchange(adj, h.n, GZ._greedy_stable_set(adj, h.n, rng), math.inf)
+        if cand.bit_count() > best.bit_count():
+            best = cand
+            stall = 0
+        else:
+            stall += 1
+        if best.bit_count() == h.n:
+            break
+    return set(G.bits(best))
+
+
+def test_stable_set_grasp_matches_the_loop_without_the_bound():
+    stops = set()
+    for seed in range(6):
+        for d in (0.08, 0.5):
+            for spec in (
+                I.RandomSpec(30, d, seed=seed, neg_ratio=1.0),
+                I.RandomSpec(30, d, seed=seed, parallel_frac=0.5),
+            ):
+                h = G.negative_part(I.generate(spec))
+                params = GZ.StableSetParams(seed=seed)
+                got = GZ.stable_set_grasp(h, params)
+                assert got == _stable_set_grasp_reference(h, params)
+                stops.add(len(got) == GZ._stable_set_bound(mask_adjacency(h), h.n))
+    assert stops == {True, False}  # both the bound's stop and the stall stop ran

@@ -26,6 +26,19 @@ def test_spec_validation():
         I.RandomSpec(10, 0.5, seed=0)  # neither group parameter
     with pytest.raises(ValueError):
         I.RandomSpec(10, 0.5, seed=0, neg_ratio=1.0, parallel_frac=0.5)  # both
+    nan, inf = float("nan"), float("inf")
+    for density in (0.0, -0.5, 1.5, nan):
+        with pytest.raises(ValueError):
+            I.RandomSpec(10, density, seed=0, neg_ratio=1.0)
+    for ratio in (-1.0, -0.5, inf, nan):
+        with pytest.raises(ValueError):
+            I.RandomSpec(10, 0.5, seed=0, neg_ratio=ratio)
+    for frac in (0.0, 1.5, nan):
+        with pytest.raises(ValueError):
+            I.RandomSpec(10, 0.5, seed=0, parallel_frac=frac)
+    # the ends of each range are accepted
+    I.RandomSpec(10, 1.0, seed=0, neg_ratio=0.0)
+    I.RandomSpec(10, 1.0, seed=0, parallel_frac=1.0)
 
 
 def test_group_property():
