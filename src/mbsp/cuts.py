@@ -436,8 +436,12 @@ def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
     ]
     vertices = [v for v in range(g.n) if conf[v]]
     holes = _odd_cycles(g.n, arcs, vertices, vertices, lambda cycle: _shortcut_chords(conf, cycle))
-    bases = (Cut.make({u: 1.0 for u in h}, (len(h) - 1) / 2.0, LIFTED_ODD_HOLE) for h in holes)
-    cuts = (_sequential_lift(g, base, LIFTED_ODD_HOLE) for base in bases)
+    # the hole's cyclic order goes to lifting as an argument: a cut's
+    # support_cycle is what cycle branching branches on
+    cuts = (
+        _sequential_lift(g, Cut.make({u: 1.0 for u in h}, (len(h) - 1) / 2.0, LIFTED_ODD_HOLE), LIFTED_ODD_HOLE, h)
+        for h in holes
+    )
     return _most_violated(cuts, y, limit)
 
 
@@ -517,14 +521,39 @@ def _max_weight_balanced_subset(
     return best, not completed
 
 
-def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
-    """Sequentially lift vertices adjacent to >= 2 support vertices.
+def _witnesses(masks, cycle, weights, cap):
+    """Balanced subsets of the cycle whose weight reaches cap, as attach
+    states (s0, s1, comps), one per distinct vertex set.
+
+    From each rotation of the cycle, its vertices are attached greedily in
+    cyclic order until the weight reaches cap.
+    """
+    found = {}
+    for i in range(len(cycle)):
+        state, total = (0, 0, ()), 0.0
+        for v in cycle[i:] + cycle[:i]:
+            grown = attach(masks, v, *state)
+            if grown is None:
+                continue
+            state, total = grown, total + weights[v]
+            if total >= cap:
+                found.setdefault(state[0] | state[1], state)
+                break
+    return list(found.values())
+
+
+def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str, cycle) -> Cut:
+    """Sequentially lift vertices adjacent to >= 2 support vertices of the
+    cut, whose support is the vertex cycle `cycle`.
 
     alpha_v = rhs - z*, z* the best current-cut LHS over balanced subsets of
     the support plus v that contain v.  Candidates by decreasing number of
     support neighbors, ties by index; budget exhaustion skips the candidate.
     The cut is valid and v weighs 0, so z* <= rhs: each search stops once
     it reaches rhs - 1e-9, where alpha can no longer pass the 1e-9 test.
+    A candidate that attaches to a witness (a balanced support subset of
+    weight >= rhs - 1e-9) has such a z* already and is skipped unsearched,
+    as the search would skip it.
     """
     support = {v for v, _ in cut.coeffs}
     neighbor_count = Counter(v for s in support for v in g.signs[s] if v not in support)
@@ -535,12 +564,15 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str) -> Cut:
     if not candidates:
         return cut
 
+    masks = g.sign_masks
     coeffs = dict(cut.coeffs)
+    cap = cut.rhs - 1e-9
+    witnesses = _witnesses(masks, cycle, coeffs, cap)
     for v in candidates:
+        if any(attach(masks, v, *w) is not None for w in witnesses):
+            continue
         verts = set(coeffs) | {v}
-        z_star, exhausted = _max_weight_balanced_subset(
-            g.sign_masks, verts, coeffs, v, cap=cut.rhs - 1e-9
-        )
+        z_star, exhausted = _max_weight_balanced_subset(masks, verts, coeffs, v, cap=cap)
         if exhausted:
             continue
         alpha = cut.rhs - (z_star if z_star > float("-inf") else 0.0)
@@ -555,8 +587,7 @@ def lift_odd_negative_cycle(g: SignedGraph, cut: Cut) -> Cut:
     """Lift an odd negative cycle inequality with |C| <= 20."""
     if cut.support_cycle is None or len(cut.support_cycle) > 20:
         return cut
-    lifted = _sequential_lift(g, cut, LIFTED_CYCLE)
-    return lifted
+    return _sequential_lift(g, cut, LIFTED_CYCLE, cut.support_cycle)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -236,16 +237,18 @@ def test_lifting_candidates_need_two_support_neighbors(monkeypatch):
         [(0, 1, "-"), (1, 2, "-"), (0, 2, "-"), (0, 3, "+"), (0, 3, "-"),
          (0, 4, "+"), (1, 4, "-")],
     )
-    tried = []
-    search = C._max_weight_balanced_subset
+    tried = set()
+    attach = C.attach
 
-    def spy(masks, vertices, weights, required, **kw):
-        tried.append(required)
-        return search(masks, vertices, weights, required, **kw)
+    def spy(masks, v, *state):
+        # the lift attaches only support vertices and the candidates
+        if v not in (0, 1, 2):
+            tried.add(v)
+        return attach(masks, v, *state)
 
-    monkeypatch.setattr(C, "_max_weight_balanced_subset", spy)
+    monkeypatch.setattr(C, "attach", spy)
     lifted = C.lift_odd_negative_cycle(g, C._cycle_cut((0, 1, 2)))
-    assert tried == [4]
+    assert tried == {4}
     assert 3 not in dict(lifted.coeffs)
 
 
@@ -438,7 +441,7 @@ def reference_odd_cycle_separation(g, y, family):
 
         def make(hole):
             base = C.Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, C.LIFTED_ODD_HOLE)
-            return C._sequential_lift(g, base, C.LIFTED_ODD_HOLE)
+            return reference_sequential_lift(g, base, C.LIFTED_ODD_HOLE)
 
     seen, violated = set(), {}
     for v in starts:
@@ -536,12 +539,85 @@ def test_lifting_stop_keeps_every_lifted_cut(monkeypatch):
 
     capped = lifts()
     search = C._max_weight_balanced_subset
-    monkeypatch.setattr(
-        C, "_max_weight_balanced_subset",
-        lambda masks, vertices, weights, required, budget=C.LIFT_BUDGET, cap=None: search(
-            masks, vertices, weights, required, budget
-        ),
-    )
+    searches = []
+
+    def uncapped(masks, vertices, weights, required, budget=C.LIFT_BUDGET, cap=None):
+        searches.append(required)
+        return search(masks, vertices, weights, required, budget)
+
+    monkeypatch.setattr(C, "_max_weight_balanced_subset", uncapped)
     assert capped == lifts()
+    assert len(searches) > 100
     kinds = {cut.kind for cuts in capped for cut in cuts}
     assert {C.LIFTED_CYCLE, C.LIFTED_ODD_HOLE} <= kinds
+
+
+# ---------------------------------------------------------------------------
+# lifting witnesses
+
+
+def reference_sequential_lift(g, cut, lifted_kind):
+    """_sequential_lift without witnesses: a capped search for every
+    candidate."""
+    support = {v for v, _ in cut.coeffs}
+    neighbor_count = collections.Counter(v for s in support for v in g.signs[s] if v not in support)
+    candidates = sorted((v for v, c in neighbor_count.items() if c >= 2), key=lambda v: (-neighbor_count[v], v))
+    coeffs = dict(cut.coeffs)
+    for v in candidates:
+        z_star, exhausted = C._max_weight_balanced_subset(
+            g.sign_masks, set(coeffs) | {v}, coeffs, v, cap=cut.rhs - 1e-9
+        )
+        if exhausted:
+            continue
+        alpha = cut.rhs - (z_star if z_star > float("-inf") else 0.0)
+        if alpha > 1e-9:
+            coeffs[v] = alpha
+    if len(coeffs) == len(cut.coeffs):
+        return cut
+    return C.Cut.make(coeffs, cut.rhs, lifted_kind, support_cycle=cut.support_cycle)
+
+
+def has_chord(g, cycle):
+    k = len(cycle)
+    return any(
+        cycle[j] in g.signs[cycle[i]] for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)
+    )
+
+
+def test_lifting_witnesses_match_the_search_without_them():
+    # base cuts of both kinds at fractional points of both groups: the odd
+    # cycles the separator finds, every odd negative cycle of small graphs
+    # (many with chords), and the odd holes of the conflict graph
+    rng = random.Random(13)
+    chorded = lifted = 0
+    for seed in range(24):
+        n = rng.randint(7, 14)
+        spec = (
+            I.RandomSpec(n, rng.uniform(0.3, 0.8), seed=seed, neg_ratio=rng.choice([0.5, 1.0, 2.0]))
+            if seed % 2
+            else I.RandomSpec(n, rng.uniform(0.3, 0.8), seed=seed, parallel_frac=rng.choice([0.25, 0.5, 0.75]))
+        )
+        g = I.generate(spec)
+        bases = []
+        for _ in range(3):
+            y = random_fractional_point(g.n, rng)
+            bases += [(c, c.support_cycle, C.LIFTED_CYCLE) for c in C.separate_odd_negative_cycle(g, y)]
+            conf = g.conflicts
+            arcs = [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])] for u in range(g.n)]
+            for v in range(g.n):
+                walk = C._dijkstra_odd_walk(g.n, arcs, v, 1.0 - C.VIOLATION_TOL)
+                if walk is not None:
+                    hole = C._canonical_cycle(C._shortcut_chords(conf, C._simple_odd_cycle(walk)))
+                    base = C.Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, C.LIFTED_ODD_HOLE)
+                    bases.append((base, hole, C.LIFTED_ODD_HOLE))
+        if g.n <= 9:
+            for cycle, signs in all_simple_cycles(g):
+                if len(cycle) >= 3 and signs.count("-") % 2:
+                    cut = C._cycle_cut(C._canonical_cycle(cycle))
+                    bases.append((cut, cut.support_cycle, C.LIFTED_CYCLE))
+        for base, cycle, kind in bases:
+            got = C._sequential_lift(g, base, kind, cycle)
+            assert got == reference_sequential_lift(g, base, kind)
+            chorded += has_chord(g, cycle)
+            lifted += got is not base
+    assert chorded >= 50 and lifted >= 50
