@@ -293,16 +293,23 @@ def initial_formulation(g: SignedGraph):
 # separation
 
 
-def _dijkstra_odd_walk(n, arcs, start, cutoff):
+def _dijkstra_odd_walk(n, arcs, start, cutoff, togo=None):
     """Min-weight odd closed walk through start in the parity double cover,
     or None.
 
     arcs[u] lists (v, parity_bit, weight).  Paths of weight >= cutoff are
-    abandoned, so a walk found weighs less than cutoff.
+    abandoned, so a walk found weighs less than cutoff.  togo[node], when
+    given, is a lower bound on the weight from node to the target start*2 + 1
+    (_odd_walk_bounds); a node reached at a distance d with
+    d + togo[node] >= cutoff + 1e-9 lies on no walk under the cutoff and is
+    not pushed.
     """
     inf = float("inf")
     source = start * 2
     target = start * 2 + 1
+    if togo is None:
+        togo = [0.0] * (2 * n)
+    limit = cutoff + 1e-9
     dist = [inf] * (2 * n)
     prev = [None] * (2 * n)
     dist[source] = 0.0
@@ -319,7 +326,7 @@ def _dijkstra_odd_walk(n, arcs, start, cutoff):
             if nd >= cutoff:
                 continue
             nxt = v * 2 + (layer ^ bit)
-            if nd < dist[nxt] - 1e-15:
+            if nd < dist[nxt] - 1e-15 and nd + togo[nxt] < limit:
                 dist[nxt] = nd
                 prev[nxt] = node
                 heapq.heappush(heap, (nd, nxt))
@@ -328,12 +335,13 @@ def _dijkstra_odd_walk(n, arcs, start, cutoff):
     return _trace_back(prev, target)
 
 
-def _odd_walk_bounds(arcs, vertices):
-    """Weight of the min-weight odd closed walk through each of vertices,
-    among the walks that stay inside vertices (inf where there is none).
+def _odd_walk_bounds(n, arcs, vertices):
+    """Shortest-walk weights in the parity double cover of the arcs between
+    vertices: dist[a, b] for the double-cover nodes a, b = v*2 + layer of
+    vertices, inf where no such walk exists or a or b lies outside vertices.
 
-    One Floyd–Warshall pass over the parity double cover of the arcs between
-    vertices, whose node i*2 + layer stands for (vertices[i], layer).
+    dist[v*2, v*2 + 1] is the weight of the min-weight odd closed walk
+    through v that stays inside vertices.  One Floyd–Warshall pass.
     """
     index = {v: i for i, v in enumerate(vertices)}
     tails, heads, weights = [], [], []
@@ -351,7 +359,10 @@ def _odd_walk_bounds(arcs, vertices):
     np.fill_diagonal(dist, 0.0)
     for t in range(len(dist)):
         np.minimum(dist, dist[:, t, None] + dist[t], out=dist)
-    return dict(zip(vertices, dist.diagonal(1)[::2].tolist()))
+    nodes = 2 * np.repeat(np.asarray(vertices, dtype=int), 2) + np.tile([0, 1], len(vertices))
+    full = np.full((2 * n, 2 * n), np.inf)
+    full[np.ix_(nodes, nodes)] = dist
+    return full
 
 
 def _odd_cycles(n, arcs, starts, vertices, simplify=None):
@@ -360,18 +371,20 @@ def _odd_cycles(n, arcs, starts, vertices, simplify=None):
     a simple cycle and passed through simplify.
 
     vertices must hold every vertex of every odd closed walk under the
-    cutoff.  Their Floyd–Warshall bounds (_odd_walk_bounds) only skip the
-    starts that have no such walk; Dijkstra still finds each walk, so the
-    cycles are those of a search from every start.
+    cutoff.  Their Floyd–Warshall distances (_odd_walk_bounds) skip the
+    starts that have no such walk and, in each Dijkstra search, the nodes
+    that lie on none; the search still finds each walk, so the cycles are
+    those of an unpruned search from every start.
     """
     cutoff = 1.0 - VIOLATION_TOL
-    bounds = _odd_walk_bounds(arcs, vertices)
+    dist = _odd_walk_bounds(n, arcs, vertices)
     seen = set()
     for v in starts:
+        togo = dist[:, v * 2 + 1]
         # the slack covers the two searches' different order of summation
-        if bounds.get(v, np.inf) >= cutoff + 1e-9:
+        if togo[v * 2] >= cutoff + 1e-9:
             continue
-        walk = _dijkstra_odd_walk(n, arcs, v, cutoff)
+        walk = _dijkstra_odd_walk(n, arcs, v, cutoff, togo.tolist())
         if walk is None:
             continue
         cycle = _simple_odd_cycle(walk)

@@ -1,4 +1,5 @@
 import collections
+import heapq
 import itertools
 import math
 import random
@@ -401,14 +402,14 @@ def walk_weight(arcs, walk):
 @settings(max_examples=200, deadline=None)
 def test_odd_walk_bounds_are_the_shortest_odd_closed_walks(cover):
     n, arcs = cover
-    bounds = C._odd_walk_bounds(arcs, list(range(n)))
+    dist = C._odd_walk_bounds(n, arcs, list(range(n)))
     for v in range(n):
         walk = C._dijkstra_odd_walk(n, arcs, v, math.inf)
         if walk is None:
-            assert bounds[v] == math.inf
+            assert dist[2 * v, 2 * v + 1] == math.inf
         else:
             assert walk[0] == 2 * v and walk[-1] == 2 * v + 1
-            assert bounds[v] == pytest.approx(walk_weight(arcs, walk), abs=1e-9)
+            assert dist[2 * v, 2 * v + 1] == pytest.approx(walk_weight(arcs, walk), abs=1e-9)
 
 
 def edge_point(n, rng):
@@ -621,3 +622,86 @@ def test_lifting_witnesses_match_the_search_without_them():
             chorded += has_chord(g, cycle)
             lifted += got is not base
     assert chorded >= 50 and lifted >= 50
+
+
+# ---------------------------------------------------------------------------
+# the Floyd–Warshall pruning of the odd-walk searches
+
+
+def reference_dijkstra_odd_walk(n, arcs, start, cutoff):
+    """_dijkstra_odd_walk without pruning: every node under the cutoff is
+    pushed."""
+    source, target = start * 2, start * 2 + 1
+    dist = [math.inf] * (2 * n)
+    prev = [None] * (2 * n)
+    dist[source] = 0.0
+    heap = [(0.0, source)]
+    while heap:
+        d, node = heapq.heappop(heap)
+        if d > dist[node]:
+            continue
+        if node == target:
+            break
+        u, layer = divmod(node, 2)
+        for v, bit, w in arcs[u]:
+            nd = d + w
+            if nd >= cutoff:
+                continue
+            nxt = v * 2 + (layer ^ bit)
+            if nd < dist[nxt] - 1e-15:
+                dist[nxt] = nd
+                prev[nxt] = node
+                heapq.heappush(heap, (nd, nxt))
+    if dist[target] == math.inf:
+        return None
+    return C._trace_back(prev, target)
+
+
+def separation_searches(g, y):
+    """(arcs, vertices) of both odd-walk separators at y, as they build them."""
+    arcs = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        w = max(0.0, (2.0 - y[u] - y[v]) / 2.0)
+        arcs[u].append((v, int(s == G.NEG), w))
+        arcs[v].append((u, int(s == G.NEG), w))
+    arcs = [sorted(lst) for lst in arcs]
+    e = max(0.0, max(y) - 1.0)
+    yield arcs, [u for u in range(g.n) if y[u] > C.VIOLATION_TOL - e - 1e-9]
+    conf = g.conflicts
+    yield [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])] for u in range(g.n)], [
+        v for v in range(g.n) if conf[v]
+    ]
+
+
+def test_pruned_odd_walk_search_matches_the_unpruned_search():
+    # every start of both separators, at uniform points and at the edge
+    # points of the start filter
+    rng = random.Random(17)
+    cutoff = 1.0 - C.VIOLATION_TOL
+    found = 0
+    for seed in range(20):
+        n, d = rng.randint(6, 16), rng.uniform(0.2, 0.8)
+        spec = (
+            I.RandomSpec(n, d, seed=seed, neg_ratio=rng.choice([0.5, 1.0, 2.0]))
+            if seed % 2
+            else I.RandomSpec(n, d, seed=seed, parallel_frac=rng.choice([0.25, 0.5, 0.75]))
+        )
+        g = I.generate(spec)
+        for y in [random_fractional_point(g.n, rng) for _ in range(3)] + [edge_point(g.n, rng) for _ in range(3)]:
+            for arcs, vertices in separation_searches(g, y):
+                dist = C._odd_walk_bounds(g.n, arcs, vertices)
+                for v in vertices:
+                    walk = C._dijkstra_odd_walk(g.n, arcs, v, cutoff, dist[:, 2 * v + 1].tolist())
+                    assert walk == reference_dijkstra_odd_walk(g.n, arcs, v, cutoff)
+                    found += walk is not None
+    assert found > 500
+
+
+@given(double_covers(), st.sampled_from([math.inf, 1.0 - C.VIOLATION_TOL, 0.6, 1.7]))
+@settings(max_examples=200, deadline=None)
+def test_pruned_odd_walk_search_matches_on_double_covers(cover, cutoff):
+    n, arcs = cover
+    dist = C._odd_walk_bounds(n, arcs, list(range(n)))
+    for v in range(n):
+        walk = C._dijkstra_odd_walk(n, arcs, v, cutoff, dist[:, 2 * v + 1].tolist())
+        assert walk == reference_dijkstra_odd_walk(n, arcs, v, cutoff)
