@@ -41,10 +41,14 @@ class NumericalError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max c.y subject to rows (a, rel, b) and box bounds per variable."""
+    """max c.y subject to rows (a, rel, b) and box bounds per variable.
+
+    A row's coefficients a are a float array of length n; a dict
+    {var: coef} is converted to one on construction.
+    """
 
     objective: list
-    rows: list = field(default_factory=list)  # (coeffs: {var: coef}, rel, rhs)
+    rows: list = field(default_factory=list)  # (coeffs, rel, rhs)
     bounds: list = None  # (lo, hi) per variable
 
     def __post_init__(self):
@@ -53,10 +57,21 @@ class LinearProgram:
         box = np.asarray(self.bounds, dtype=float).reshape(-1, 2)
         if not (np.isfinite(box).all() and (box[:, 0] <= box[:, 1]).all()):
             raise ValueError("variable bounds must be finite with lo <= hi")
+        self.rows = [
+            (_dense(a, self.n), rel, rhs) if isinstance(a, dict) else (a, rel, rhs)
+            for a, rel, rhs in self.rows
+        ]
 
     @property
     def n(self) -> int:
         return len(self.objective)
+
+
+def _dense(coeffs, n):
+    row = np.zeros(n)
+    for j, a in coeffs.items():
+        row[j] += a
+    return row
 
 
 class Basis(NamedTuple):
@@ -94,10 +109,7 @@ def add_rows_and_resolve(lp: LinearProgram, sol: LpSolution, new_rows) -> LpSolu
     The new rows' slacks join the basis, so the previous optimal basis stays
     dual feasible and only the rows it violates need pivots.
     """
-    extended = LinearProgram(
-        list(lp.objective), list(lp.rows) + [(dict(c), rel, r) for c, rel, r in new_rows],
-        list(lp.bounds),
-    )
+    extended = LinearProgram(list(lp.objective), list(lp.rows) + list(new_rows), list(lp.bounds))
     start = None
     if sol.basis is not None:
         start = Basis(sol.basis.cols, tuple(sol.basis.rows) + (None,) * len(new_rows))
@@ -117,11 +129,11 @@ def _dual_simplex(lp: LinearProgram, start):
     hi = np.zeros(ncols)
     lo[:n] = [bb[0] for bb in lp.bounds]
     hi[:n] = [bb[1] for bb in lp.bounds]
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        for j, a in coeffs.items():
-            A[i, j] += a
-        b[i] = rhs
-        A[i, n + i] = 1.0
+    if m:
+        A[:, :n] = [a for a, _, _ in lp.rows]
+        b[:] = [rhs for _, _, rhs in lp.rows]
+        np.fill_diagonal(A[:, n:], 1.0)
+    for i, (_, rel, _) in enumerate(lp.rows):
         if rel == LE:
             hi[n + i] = _INF
         elif rel == GE:
@@ -170,19 +182,23 @@ def _dual_simplex(lp: LinearProgram, start):
     max_pivots = max(200, 50 * (m + ncols))
     bland_after = 3 * max(1, ncols)
     pivots = degenerate = 0
+    lo_b, hi_b = lo[basis], hi[basis]  # the bounds of the basic variables
+    # the direction an entering variable may move: down (+1) from its upper
+    # bound, up (-1) from its lower one, 0 when it cannot enter
+    sign = np.where(movable, np.where(at_upper, 1.0, -1.0), 0.0)
     while True:
         xb = tab[:m, -1]
-        infeas = np.maximum(lo[basis] - xb, xb - hi[basis])
+        infeas = np.maximum(lo_b - xb, xb - hi_b)
         rows = np.nonzero(infeas > FEAS_TOL)[0]
         if rows.size == 0:
             break
         bland = degenerate >= bland_after
         r = int(rows[np.argmin(basis[rows])] if bland else rows[np.argmax(infeas[rows])])
         leave = basis[r]
-        raise_leaving = xb[r] < lo[leave]
+        raise_leaving = xb[r] < lo_b[r]
         alpha = tab[r, :ncols] if raise_leaving else -tab[r, :ncols]
         # entering candidates move the leaving variable towards its bound
-        cand = np.nonzero(movable & np.where(at_upper, alpha > PIVOT_TOL, alpha < -PIVOT_TOL))[0]
+        cand = np.nonzero(alpha * sign > PIVOT_TOL)[0]
         if cand.size == 0:
             return LpSolution(status="infeasible", pivots=pivots, cold_start=cold)
         ratios = np.maximum(tab[m, cand] / alpha[cand], 0.0)
@@ -200,15 +216,17 @@ def _dual_simplex(lp: LinearProgram, start):
         col[r] = 0.0
         tab -= np.outer(col, tab[r])
         # x_B was B^-1 (b - A_N x_N) for the old nonbasic set
-        x_leave = lo[leave] if raise_leaving else hi[leave]
+        x_leave = lo_b[r] if raise_leaving else hi_b[r]
         tab[:m, -1] -= tab[:m, leave] * x_leave
         tab[r, -1] += x_enter
         at_upper[leave] = not raise_leaving
+        sign[leave] = (-1.0 if raise_leaving else 1.0) if hi[leave] > lo[leave] else 0.0
+        sign[q] = 0.0
         basis[r] = q
-        movable[leave], movable[q] = hi[leave] > lo[leave], False
+        lo_b[r], hi_b[r] = lo[q], hi[q]
 
     d = c - c[basis] @ tab[:m, :ncols]
-    if (movable & np.where(at_upper, d < -OPT_TOL, d > OPT_TOL)).any():
+    if (d * sign < -OPT_TOL).any():
         raise NumericalError("reduced costs lost dual feasibility")
     x = np.where(at_upper, hi, lo)
     x[basis] = tab[:m, -1]

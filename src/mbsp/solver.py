@@ -6,6 +6,8 @@ import heapq
 import time
 from dataclasses import dataclass, field, replace
 
+import numpy as np
+
 from . import cuts as C
 from . import lp as LP
 from .graph import Bipartition, SignedGraph, is_balanced
@@ -123,8 +125,12 @@ def branch(node: SearchNode, y, active_cuts, mode: str):
     return children
 
 
-def _build_lp(g, active_cuts, node: SearchNode):
-    """The node's LP and a key per row: a cut's key, or a branching row's."""
+def _build_lp(g, active_cuts, node: SearchNode, dense):
+    """The node's LP and a key per row: a cut's key, or a branching row's.
+
+    Every row is coeffs . y <= rhs for its key (coeffs, rhs).  dense maps
+    each key met so far to its dense coefficient row, built on first use.
+    """
     bounds = []
     for i in range(g.n):
         fx = node.fixings.get(i)
@@ -132,9 +138,15 @@ def _build_lp(g, active_cuts, node: SearchNode):
             bounds.append((0.0, 1.0))
         else:
             bounds.append((float(fx), float(fx)))
-    rows = [cut.row() for cut in active_cuts]
-    rows.extend(node.extra_rows)
     keys = [cut.key for cut in active_cuts] + [_row_key(row) for row in node.extra_rows]
+    rows = []
+    for key in keys:
+        a = dense.get(key)
+        if a is None:
+            a = dense[key] = np.zeros(g.n)
+            for v, c in key[0]:
+                a[v] = c
+        rows.append((a, LP.LE, key[1]))
     return LP.LinearProgram([1.0] * g.n, rows, bounds), keys
 
 
@@ -157,6 +169,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
 
     best = Bipartition()
     lb = 0
+    dense = {}  # row key -> dense coefficient row, for this solve only
 
     def note_cut(cut):
         stats["cuts_by_kind"][cut.kind] = stats["cuts_by_kind"].get(cut.kind, 0) + 1
@@ -186,7 +199,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # rows the basis does not name are new or had basic slacks
         basis = node.basis
         while True:
-            lp_, keys = _build_lp(g, active_cuts, node)
+            lp_, keys = _build_lp(g, active_cuts, node, dense)
             warm = None
             if basis is not None:
                 cols, nonbasic_rows = basis
@@ -203,7 +216,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 {k: s for k, s in zip(keys, sol.basis.rows) if s != LP.BASIC},
             )
             bound = sol.objective_value
-            y = sol.values
+            y = sol.values.tolist()
             if bound <= lb + 1 - INT_TOL:
                 prune = True
                 break

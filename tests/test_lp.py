@@ -19,7 +19,7 @@ def enumerate_vertices(lp):
     n = lp.n
     planes = []
     for coeffs, _, rhs in lp.rows:
-        planes.append(([coeffs.get(j, 0.0) for j in range(n)], rhs))
+        planes.append((list(coeffs), rhs))
     for j, (lo, hi) in enumerate(lp.bounds):
         e = [0.0] * n
         e[j] = 1.0
@@ -45,7 +45,7 @@ def feasible(lp, x, tol=1e-7):
         if not (lo - tol <= x[j] <= hi + tol):
             return False
     for coeffs, rel, rhs in lp.rows:
-        lhs = sum(a * x[j] for j, a in coeffs.items())
+        lhs = sum(a * x[j] for j, a in enumerate(coeffs))
         if rel == LP.LE and lhs > rhs + tol:
             return False
         if rel == LP.GE and lhs < rhs - tol:
@@ -288,3 +288,137 @@ def test_add_rows_and_resolve_starts_warm():
     assert not warm.cold_start
     assert warm.pivots == 1
     assert warm.objective_value == pytest.approx(1.0)
+
+
+# ---------------------------------------------------------------------------
+# the dense-row tableau fill and the pivot loop against the dict-row loop
+
+
+def reference_dual_simplex(lp, start):
+    """_dual_simplex filling the tableau from dict rows, one coefficient at
+    a time, with the pivot loop indexing the bounds of the basis and masking
+    the entering candidates on every pivot."""
+    n, m = lp.n, len(lp.rows)
+    rows = [({j: a for j, a in enumerate(coeffs.tolist()) if a}, rel, rhs) for coeffs, rel, rhs in lp.rows]
+    ncols = n + m
+    tab = np.zeros((m + 1, ncols + 1))
+    A, b = tab[:m, :ncols], tab[:m, -1]
+    lo = np.zeros(ncols)
+    hi = np.zeros(ncols)
+    lo[:n] = [bb[0] for bb in lp.bounds]
+    hi[:n] = [bb[1] for bb in lp.bounds]
+    for i, (coeffs, rel, rhs) in enumerate(rows):
+        for j, a in coeffs.items():
+            A[i, j] += a
+        b[i] = rhs
+        A[i, n + i] = 1.0
+        if rel == LP.LE:
+            hi[n + i] = np.inf
+        elif rel == LP.GE:
+            lo[n + i] = -np.inf
+    c = np.zeros(ncols)
+    c[:n] = lp.objective
+    cold = start is None
+    if cold:
+        start = LP.Basis(tuple(np.where(c[:n] > 0, LP.UPPER, LP.LOWER)), (None,) * m)
+    if len(start.cols) != n or len(start.rows) != m:
+        return None
+    status = np.array(list(start.cols) + [LP.BASIC if s is None else s for s in start.rows])
+    basis = np.nonzero(status == LP.BASIC)[0]
+    if basis.size != m:
+        return None
+    at_upper = status == LP.UPPER
+    at_upper[n:] = np.isinf(lo[n:])
+    movable = (status != LP.BASIC) & (hi > lo)
+    try:
+        tab[:m] = np.linalg.solve(A[:, basis], tab[:m])
+    except np.linalg.LinAlgError:
+        return None
+    if not np.isfinite(tab).all() or np.abs(tab[:m, basis] - np.eye(m)).max(initial=0.0) > 1e-9:
+        return None
+    tab[m, :ncols] = c - c[basis] @ tab[:m, :ncols]
+    tab[m, basis] = 0.0
+    d = tab[m, :ncols]
+    wrong = movable & np.where(at_upper, d < -LP.OPT_TOL, d > LP.OPT_TOL)
+    if wrong[n:].any():
+        return None
+    at_upper[wrong] = ~at_upper[wrong]
+    x = np.where(at_upper, hi, lo)
+    x[basis] = 0.0
+    tab[:m, -1] -= tab[:m, :ncols] @ x
+    max_pivots = max(200, 50 * (m + ncols))
+    bland_after = 3 * max(1, ncols)
+    pivots = degenerate = 0
+    while True:
+        xb = tab[:m, -1]
+        infeas = np.maximum(lo[basis] - xb, xb - hi[basis])
+        rows_ = np.nonzero(infeas > LP.FEAS_TOL)[0]
+        if rows_.size == 0:
+            break
+        bland = degenerate >= bland_after
+        r = int(rows_[np.argmin(basis[rows_])] if bland else rows_[np.argmax(infeas[rows_])])
+        leave = basis[r]
+        raise_leaving = xb[r] < lo[leave]
+        alpha = tab[r, :ncols] if raise_leaving else -tab[r, :ncols]
+        cand = np.nonzero(movable & np.where(at_upper, alpha > LP.PIVOT_TOL, alpha < -LP.PIVOT_TOL))[0]
+        if cand.size == 0:
+            return LP.LpSolution(status="infeasible", pivots=pivots, cold_start=cold)
+        ratios = np.maximum(tab[m, cand] / alpha[cand], 0.0)
+        t = ratios.min()
+        ties = cand[ratios <= t + 1e-12]
+        q = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
+        degenerate = degenerate + 1 if t <= 1e-12 else 0
+        pivots += 1
+        if pivots > max_pivots:
+            raise LP.NumericalError("simplex iteration cap exceeded")
+        x_enter = hi[q] if at_upper[q] else lo[q]
+        col = tab[:, q].copy()
+        tab[r] /= col[r]
+        col[r] = 0.0
+        tab -= np.outer(col, tab[r])
+        x_leave = lo[leave] if raise_leaving else hi[leave]
+        tab[:m, -1] -= tab[:m, leave] * x_leave
+        tab[r, -1] += x_enter
+        at_upper[leave] = not raise_leaving
+        basis[r] = q
+        movable[leave], movable[q] = hi[leave] > lo[leave], False
+    d = c - c[basis] @ tab[:m, :ncols]
+    if (movable & np.where(at_upper, d < -LP.OPT_TOL, d > LP.OPT_TOL)).any():
+        raise LP.NumericalError("reduced costs lost dual feasibility")
+    x = np.where(at_upper, hi, lo)
+    x[basis] = tab[:m, -1]
+    status = np.where(at_upper, LP.UPPER, LP.LOWER)
+    status[basis] = LP.BASIC
+    values = x[:n]
+    return LP.LpSolution(
+        status="optimal",
+        values=values,
+        objective_value=float(c[:n] @ values),
+        basis=LP.Basis(tuple(status[:n].tolist()), tuple(status[n:].tolist())),
+        pivots=pivots,
+        cold_start=cold,
+    )
+
+
+def same_solution(a, b):
+    if a is None or b is None:
+        return a is b
+    same_values = (a.values is None and b.values is None) or a.values.tobytes() == b.values.tobytes()
+    return same_values and (a.status, a.objective_value, a.basis, a.pivots, a.cold_start) == (
+        b.status, b.objective_value, b.basis, b.pivots, b.cold_start
+    )
+
+
+def test_dual_simplex_matches_the_dict_row_reference_bitwise():
+    rng = random.Random(23)
+    warm_checked = 0
+    for i in range(1500):
+        lp = random_lp(rng, max_n=6, max_m=6)
+        cold = LP._dual_simplex(lp, None)
+        assert same_solution(cold, reference_dual_simplex(lp, None))
+        if cold.status != "optimal":
+            continue
+        changed, start = _changed(rng, lp, cold, ("add rows", "fix bounds", "drop rows")[i % 3])
+        assert same_solution(LP._dual_simplex(changed, start), reference_dual_simplex(changed, start))
+        warm_checked += 1
+    assert warm_checked > 400
