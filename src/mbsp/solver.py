@@ -5,6 +5,7 @@ from __future__ import annotations
 import heapq
 import time
 from dataclasses import dataclass, field, replace
+from time import perf_counter
 
 import numpy as np
 
@@ -17,6 +18,10 @@ BINDING_TOL = 1e-6
 
 CYCLE = "cycle"
 STANDARD = "standard"
+
+# the keys of SolveResult.stats["time_by_phase"]; sep_hole includes the
+# lifting of odd holes, lift is the lifting of odd negative cycles
+PHASES = ("lp", "pool_scan", "sep_cycle", "lift", "sep_clique", "sep_hole", "rounding", "branch")
 
 
 @dataclass
@@ -157,10 +162,19 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     start = time.monotonic()
     deadline = start + params.time_limit_seconds
 
+    # seconds per phase of the cut loop and branching, from perf_counter:
+    # never from the clock the deadline reads, so timing moves no stop
+    phase = dict.fromkeys(PHASES, 0.0)
     stats = {
         "nodes": 0, "lp_solves": 0, "lp_pivots": 0, "lp_cold_starts": 0,
-        "cuts_by_kind": {}, "wall_time": 0.0,
+        "cuts_by_kind": {}, "wall_time": 0.0, "time_by_phase": phase,
     }
+
+    def timed(name, fn, *args, **kwargs):
+        t = perf_counter()
+        out = fn(*args, **kwargs)
+        phase[name] += perf_counter() - t
+        return out
 
     pool = C.CutPool()
     initial = list(C.initial_formulation(g))
@@ -204,7 +218,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             if basis is not None:
                 cols, nonbasic_rows = basis
                 warm = LP.Basis(cols, tuple(nonbasic_rows.get(k) for k in keys))
-            sol = LP.solve(lp_, warm)
+            sol = timed("lp", LP.solve, lp_, warm)
             stats["lp_solves"] += 1
             stats["lp_pivots"] += sol.pivots
             stats["lp_cold_starts"] += sol.cold_start
@@ -230,7 +244,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                     break
                 # integral but unbalanced: exact separation must cut it off
             else:
-                p = C.rounding_heuristic(g, y)
+                p = timed("rounding", C.rounding_heuristic, g, y)
                 if p.size() > lb:
                     best, lb = p, p.size()
             stalled = prev_bound is not None and prev_bound - bound < 0.005
@@ -244,16 +258,16 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 heapq.heappush(heap, (-bound, counter, node))
                 prune = True
                 break
-            new_cuts = C.scan_pool(pool, y, params.max_cuts_per_round)
+            new_cuts = timed("pool_scan", C.scan_pool, pool, y, params.max_cuts_per_round)
             if not new_cuts:
-                new_cuts = [
-                    C.lift_odd_negative_cycle(g, cut)
-                    for cut in C.separate_odd_negative_cycle(g, y, params.max_cuts_per_round)
-                ]
+                cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, params.max_cuts_per_round)
+                new_cuts = [timed("lift", C.lift_odd_negative_cycle, g, cut) for cut in cycles]
                 if len(new_cuts) < params.max_cuts_per_round:
-                    new_cuts += C.separate_clique(g, y, limit=params.max_cuts_per_round - len(new_cuts))
+                    limit = params.max_cuts_per_round - len(new_cuts)
+                    new_cuts += timed("sep_clique", C.separate_clique, g, y, limit=limit)
                 if len(new_cuts) < params.max_cuts_per_round:
-                    new_cuts += C.separate_lifted_odd_hole(g, y, limit=params.max_cuts_per_round - len(new_cuts))
+                    limit = params.max_cuts_per_round - len(new_cuts)
+                    new_cuts += timed("sep_hole", C.separate_lifted_odd_hole, g, y, limit=limit)
             if not new_cuts:
                 break
             if not integral:
@@ -288,7 +302,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # anything dropped stays in the pool and can return via scan_pool
         tight = tuple(cut for cut in active_cuts if cut.violation(y) >= -0.01)
         node = SearchNode(node.fixings, node.extra_rows, bound, node.depth, tight, basis)
-        for child in branch(node, y, active_cuts, params.branching):
+        for child in timed("branch", branch, node, y, active_cuts, params.branching):
             counter += 1
             heapq.heappush(heap, (-bound, counter, child))
 

@@ -254,6 +254,10 @@ def test_stats_are_populated():
     assert r.stats["nodes"] > 1
     assert r.stats["lp_cold_starts"] == 1
     assert r.stats["lp_pivots"] >= 1
+    phases = r.stats["time_by_phase"]
+    assert set(phases) == {"lp", "pool_scan", "sep_cycle", "lift", "sep_clique", "sep_hole", "rounding", "branch"}
+    assert all(t >= 0.0 for t in phases.values()) and phases["lp"] > 0.0 and phases["branch"] > 0.0
+    assert sum(phases.values()) <= r.stats["wall_time"]
 
 
 def test_deterministic_across_runs():
