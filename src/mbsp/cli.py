@@ -49,16 +49,21 @@ def _default_seed(args):
         raise SystemExit(f"mbsp: error: MBSP_SEED must be an integer: {env!r}") from None
 
 
+# the option each group requires, and the RandomSpec field it sets
+GROUP_OPTIONS = {1: ("ratio", "neg_ratio"), 2: ("parallel", "parallel_frac")}
+
+
 def cmd_generate(args):
+    (option, field), (other, _) = GROUP_OPTIONS[args.group], GROUP_OPTIONS[3 - args.group]
+    if getattr(args, other) is not None:
+        args.usage_error(f"argument --{other}: not used by group {args.group}")
+    if getattr(args, option) is None:
+        args.usage_error(f"group {args.group} requires --{option}")
     seed = _default_seed(args)
-    if args.group == 1:
-        if args.ratio is None:
-            raise SystemExit("group 1 requires --ratio")
-        spec = INST.RandomSpec(args.n, args.d, seed, neg_ratio=args.ratio)
-    else:
-        if args.parallel is None:
-            raise SystemExit("group 2 requires --parallel")
-        spec = INST.RandomSpec(args.n, args.d, seed, parallel_frac=args.parallel)
+    try:
+        spec = INST.RandomSpec(args.n, args.d, seed, **{field: getattr(args, option)})
+    except ValueError as exc:  # such as an n and d that leave no edge
+        return _input_error(exc)
     g = INST.generate(spec)
     if args.out:
         INST.write(g, args.out)
@@ -219,7 +224,7 @@ def cmd_bench(args):
         try:
             graphs.append((os.path.basename(path), INST.read(path)))
         except (INST.ParseError, GraphError) as exc:
-            return _input_error(path, exc)
+            return _input_error(f"{path}: {exc}")
     tasks = [
         (name, g, method, args.tree, args.branching, args.time_limit, args.iterations, seed)
         for name, g in graphs
@@ -261,7 +266,7 @@ def build_parser():
     p.add_argument("--parallel", type=fraction, help="group 2: parallel fraction of |E|")
     p.add_argument("--seed", type=int)
     p.add_argument("--out")
-    p.set_defaults(func=cmd_generate)
+    p.set_defaults(func=cmd_generate, usage_error=p.error)
 
     p = sub.add_parser("check", help="test balance of an instance file")
     p.add_argument("instance")
@@ -304,9 +309,9 @@ def build_parser():
     return parser
 
 
-def _input_error(path, exc):
+def _input_error(message):
     # 2, because `check` already exits 1 for "unbalanced"
-    print(f"mbsp: error: {path}: {exc}", file=sys.stderr)
+    print(f"mbsp: error: {message}", file=sys.stderr)
     return 2
 
 
@@ -320,7 +325,7 @@ def run(argv=None) -> int:
     except (INST.ParseError, GraphError) as exc:
         if not hasattr(args, "instance"):
             raise
-        return _input_error(args.instance, exc)
+        return _input_error(f"{args.instance}: {exc}")
 
 
 def main():

@@ -28,6 +28,8 @@ class RandomSpec:
         if (self.neg_ratio is None) == (self.parallel_frac is None):
             raise ValueError("set exactly one of neg_ratio / parallel_frac")
         # each check is written so that NaN fails it
+        if not self.n >= 0:
+            raise ValueError(f"n must be non-negative, got {self.n}")
         if not 0 < self.density <= 1:
             raise ValueError(f"density must be in (0, 1], got {self.density}")
         if self.neg_ratio is not None and not 0 <= self.neg_ratio < math.inf:

@@ -42,6 +42,22 @@ def test_generate_group1_requires_ratio(capsys):
         cli.run(["generate", "--group", "1", "--n", "8", "--d", "0.5"])
 
 
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--group", "1", "--n", "-5", "--d", "0.5", "--ratio", "1"], "n must be non-negative, got -5"),
+        (["--group", "1", "--n", "1", "--d", "0.5", "--ratio", "1"], "density too low: no edges"),
+        (["--group", "2", "--n", "4", "--d", "0.1", "--parallel", "0.5"], "density too low: no edges"),
+    ],
+    ids=["negative-n", "no-edge-g1", "no-edge-g2"],
+)
+def test_generate_input_error_is_a_one_line_error(capsys, args, message):
+    code, out, err = run_cli(["generate"] + args, capsys)
+    assert code == 2
+    assert out == ""
+    assert err == f"mbsp: error: {message}\n"
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MBSP_SEED", "11")
     code, out, _ = run_cli(
@@ -127,6 +143,8 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
         ["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "inf"],
         ["generate", "--group", "2", "--n", "8", "--d", "0.5", "--parallel", "1.5"],
         ["generate", "--group", "2", "--n", "8", "--d", "0.5", "--parallel", "0"],
+        ["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "1", "--parallel", "0.5"],
+        ["generate", "--group", "2", "--n", "8", "--d", "0.5", "--parallel", "0.5", "--ratio", "1"],
     ],
     ids=lambda a: f"{a[0]}{a[-2]}={a[-1]}",
 )

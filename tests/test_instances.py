@@ -36,6 +36,9 @@ def test_spec_validation():
     for frac in (0.0, 1.5, nan):
         with pytest.raises(ValueError):
             I.RandomSpec(10, 0.5, seed=0, parallel_frac=frac)
+    for n in (-5, -1):
+        with pytest.raises(ValueError, match="n must be non-negative"):
+            I.RandomSpec(n, 0.5, seed=0, neg_ratio=1.0)
     # the ends of each range are accepted
     I.RandomSpec(10, 1.0, seed=0, neg_ratio=0.0)
     I.RandomSpec(10, 1.0, seed=0, parallel_frac=1.0)
