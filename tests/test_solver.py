@@ -1,11 +1,16 @@
 import itertools
+import random
 
 import pytest
 
 from mbsp import cuts as C
 from mbsp import graph as G
 from mbsp import instances as I
+from mbsp import lp as LP
 from mbsp import solver as S
+from mbsp.ggmz import StableSetParams, ggmz
+from mbsp.grasp import GraspParams, grasp
+from mbsp.spanning import TreeStrategy
 
 
 def integral_feasible_sets(g, fixings, extra_rows):
@@ -265,3 +270,59 @@ def test_deterministic_across_runs():
     a = S.solve(g)
     b = S.solve(g)
     assert (a.lower_bound, a.stats["nodes"], a.best) == (b.lower_bound, b.stats["nodes"], b.best)
+
+
+# ---------------------------------------------------------------------------
+# metamorphic relations of the exact optimum
+
+
+def small_graphs(rng, lo, hi, count=6):
+    """count graphs of each group with lo <= n <= hi."""
+    out = []
+    for seed in range(count):
+        d = rng.uniform(0.3, 0.8)
+        out.append(I.generate(I.RandomSpec(rng.randint(lo, hi), d, seed=seed, neg_ratio=rng.choice([0.5, 1.0, 2.0]))))
+        out.append(I.generate(I.RandomSpec(rng.randint(lo, hi), d, seed=seed, parallel_frac=rng.choice([0.25, 0.5]))))
+    return out
+
+
+def optimum(g, mode):
+    """The certified optimum of an exact solve."""
+    r = S.solve(g, S.SolveParams(branching=mode))
+    assert r.status == "optimal" and float(r.lower_bound) == r.upper_bound
+    assert G.is_feasible(g, r.best) and r.best.size() == r.lower_bound
+    return r.lower_bound
+
+
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_optimum_is_kept_by_switching_and_relabeling_and_grows_by_an_isolated_vertex(mode):
+    rng = random.Random(41)
+    for g in small_graphs(rng, 6, 11):
+        opt = optimum(g, mode)
+        w = rng.sample(range(g.n), rng.randint(1, g.n - 1))
+        assert optimum(G.switch(g, w), mode) == opt
+        perm = list(range(g.n))
+        rng.shuffle(perm)
+        assert optimum(G.build(g.n, [(perm[u], perm[v], s) for u, v, s in g.edges]), mode) == opt
+        assert optimum(G.build(g.n + 1, g.edges), mode) == opt + 1
+
+
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_optimum_of_a_disjoint_union_is_the_sum_of_the_parts(mode):
+    rng = random.Random(43)
+    parts = small_graphs(rng, 4, 6)
+    for a, b in zip(parts, parts[1:] + parts[:1]):
+        union = G.build(a.n + b.n, list(a.edges) + [(u + a.n, v + a.n, s) for u, v, s in b.edges])
+        assert optimum(union, mode) == optimum(a, mode) + optimum(b, mode)
+
+
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_heuristics_lie_below_the_optimum_and_the_root_bound_above(mode):
+    rng = random.Random(47)
+    for g in small_graphs(rng, 8, 12):
+        opt = optimum(g, mode)
+        root = LP.solve(LP.LinearProgram([1.0] * g.n, [cut.row() for cut in C.initial_formulation(g)]))
+        assert opt <= root.objective_value + 1e-6
+        assert grasp(g, GraspParams(max_iterations=5)).size() <= opt
+        for strategy in (TreeStrategy.BFS, TreeStrategy.KRUSKAL_ADAPTIVE):
+            assert ggmz(g, strategy, StableSetParams()).size() <= opt
