@@ -189,22 +189,22 @@ def _dual_simplex(lp: LinearProgram, start):
     while True:
         xb = tab[:m, -1]
         infeas = np.maximum(lo_b - xb, xb - hi_b)
-        rows = np.nonzero(infeas > FEAS_TOL)[0]
+        rows = (infeas > FEAS_TOL).nonzero()[0]
         if rows.size == 0:
             break
         bland = degenerate >= bland_after
-        r = int(rows[np.argmin(basis[rows])] if bland else rows[np.argmax(infeas[rows])])
+        r = int(rows[basis[rows].argmin()] if bland else rows[infeas[rows].argmax()])
         leave = basis[r]
         raise_leaving = xb[r] < lo_b[r]
         alpha = tab[r, :ncols] if raise_leaving else -tab[r, :ncols]
         # entering candidates move the leaving variable towards its bound
-        cand = np.nonzero(alpha * sign > PIVOT_TOL)[0]
+        cand = (alpha * sign > PIVOT_TOL).nonzero()[0]
         if cand.size == 0:
             return LpSolution(status="infeasible", pivots=pivots, cold_start=cold)
         ratios = np.maximum(tab[m, cand] / alpha[cand], 0.0)
         t = ratios.min()
         ties = cand[ratios <= t + 1e-12]
-        q = int(ties[0] if bland else ties[np.argmax(np.abs(alpha[ties]))])
+        q = int(ties[0] if bland else ties[np.abs(alpha[ties]).argmax()])
         degenerate = degenerate + 1 if t <= 1e-12 else 0
 
         pivots += 1
@@ -214,7 +214,7 @@ def _dual_simplex(lp: LinearProgram, start):
         col = tab[:, q].copy()
         tab[r] /= col[r]
         col[r] = 0.0
-        tab -= np.outer(col, tab[r])
+        tab -= col[:, None] * tab[r]
         # x_B was B^-1 (b - A_N x_N) for the old nonbasic set
         x_leave = lo_b[r] if raise_leaving else hi_b[r]
         tab[:m, -1] -= tab[:m, leave] * x_leave
