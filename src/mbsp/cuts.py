@@ -299,8 +299,9 @@ def _dijkstra_odd_walk(n, arcs, start, cutoff, togo=None):
 
     arcs[u] lists (v, parity_bit, weight).  Paths of weight >= cutoff are
     abandoned, so a walk found weighs less than cutoff.  togo[node], when
-    given, is a lower bound on the weight from node to the target start*2 + 1
-    (_odd_walk_bounds); a node reached at a distance d with
+    given, is the weight of the shortest walk from node to the target
+    start*2 + 1 through the vertices that every walk under the cutoff stays
+    in (_odd_walk_bounds); a node reached at a distance d with
     d + togo[node] >= cutoff + 1e-9 lies on no walk under the cutoff and is
     not pushed.
     """
