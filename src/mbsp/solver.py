@@ -136,13 +136,9 @@ def _build_lp(g, active_cuts, node: SearchNode, dense):
     Every row is coeffs . y <= rhs for its key (coeffs, rhs).  dense maps
     each key met so far to its dense coefficient row, built on first use.
     """
-    bounds = []
-    for i in range(g.n):
-        fx = node.fixings.get(i)
-        if fx is None:
-            bounds.append((0.0, 1.0))
-        else:
-            bounds.append((float(fx), float(fx)))
+    bounds = [(0.0, 1.0)] * g.n
+    for i, fx in node.fixings.items():
+        bounds[i] = (float(fx), float(fx))
     keys = [cut.key for cut in active_cuts] + [_row_key(row) for row in node.extra_rows]
     rows = []
     for key in keys:
@@ -258,7 +254,8 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 heapq.heappush(heap, (-bound, counter, node))
                 prune = True
                 break
-            new_cuts = timed("pool_scan", C.scan_pool, pool, y, params.max_cuts_per_round)
+            # the pool scan is a matrix product, so it takes the array
+            new_cuts = timed("pool_scan", C.scan_pool, pool, sol.values, params.max_cuts_per_round)
             if not new_cuts:
                 cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, params.max_cuts_per_round)
                 new_cuts = [timed("lift", C.lift_odd_negative_cycle, g, cut) for cut in cycles]
