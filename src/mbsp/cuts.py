@@ -360,7 +360,7 @@ def _odd_walk_bounds(n, arcs, vertices):
     np.fill_diagonal(dist, 0.0)
     for t in range(len(dist)):
         np.minimum(dist, dist[:, t, None] + dist[t], out=dist)
-    nodes = 2 * np.repeat(np.asarray(vertices, dtype=int), 2) + np.tile([0, 1], len(vertices))
+    nodes = (2 * np.asarray(vertices, dtype=int)[:, None] + [0, 1]).ravel()
     full = np.full((2 * n, 2 * n), np.inf)
     full[np.ix_(nodes, nodes)] = dist
     return full
