@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import Counter, OrderedDict, deque
+from collections import Counter, deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,69 +52,52 @@ class Cut:
 
 
 class CutPool:
-    """Deduplicated FIFO-bounded store of previously generated cuts."""
+    """Every distinct cut added so far, in the order added.
 
-    def __init__(self, capacity=50_000):
-        self.capacity = capacity
-        self._cuts = OrderedDict()  # key -> Cut, insertion-ordered
-        # dense (|pool| x n) coefficient matrix, grown incrementally so a
-        # scan is a single matrix-vector product
-        self._mat = None
-        self._rhs = None
-        self._row_cuts = []  # the cut of each matrix row
-        self._stale = True
+    Each cut's dense row is stored once, in one (rows x n) matrix that
+    doubles as it fills: a scan is a single matrix-vector product, and the
+    solver's LP rows are the pool's own.
+    """
+
+    def __init__(self, n):
+        self._index = {}  # key -> matrix row
+        self._cuts = []  # the cut of each matrix row
+        self._mat = np.zeros((64, n))
+        self._rhs = np.zeros(64)
 
     def __len__(self):
         return len(self._cuts)
 
     def add(self, cut: Cut) -> bool:
-        if cut.key in self._cuts:
+        """Store cut, unless a cut with its key (of any kind) is stored."""
+        if cut.key in self._index:
             return False
-        self._cuts[cut.key] = cut
-        while len(self._cuts) > self.capacity:
-            self._cuts.popitem(last=False)
-            self._stale = True
-        if not self._stale and self._mat is not None:
-            self._append_row(cut)
+        i = len(self._cuts)
+        if i == len(self._mat):
+            self._mat = np.concatenate([self._mat, np.zeros_like(self._mat)])
+            self._rhs = np.concatenate([self._rhs, np.zeros_like(self._rhs)])
+        for v, c in cut.coeffs:
+            self._mat[i, v] = c
+        self._rhs[i] = cut.rhs
+        self._index[cut.key] = i
+        self._cuts.append(cut)
         return True
 
-    def _append_row(self, cut):
-        rows = len(self._row_cuts)
-        if rows == self._mat.shape[0]:
-            grown = np.zeros((max(64, 2 * rows), self._mat.shape[1]))
-            grown[:rows] = self._mat[:rows]
-            self._mat = grown
-            self._rhs = np.resize(self._rhs, grown.shape[0])
-        row = self._mat[rows]
-        row[:] = 0.0
-        for v, c in cut.coeffs:
-            row[v] = c
-        self._rhs[rows] = cut.rhs
-        self._row_cuts.append(cut)
-
-    def _matrix(self, n):
-        """The coefficient matrix, the rhs vector and the cut of each row."""
-        if self._stale or self._mat is None or self._mat.shape[1] != n:
-            self._mat = np.zeros((max(64, len(self._cuts)), n))
-            self._rhs = np.zeros(self._mat.shape[0])
-            self._row_cuts = []
-            self._stale = False
-            for cut in self._cuts.values():
-                self._append_row(cut)
-        rows = len(self._row_cuts)
-        return self._mat[:rows], self._rhs[:rows], self._row_cuts
+    def row(self, cut: Cut):
+        """The dense row of the stored cut with cut's key."""
+        return self._mat[self._index[cut.key]]
 
 
 def scan_pool(pool: CutPool, y, limit=100):
     """Pool cuts violated by the current point, most violated first (ties by
     age)."""
-    if not len(pool):
+    rows = len(pool)
+    if not rows:
         return []
-    mat, rhs, cuts = pool._matrix(len(y))
-    viol = mat @ np.asarray(y, dtype=float) - rhs
+    viol = pool._mat[:rows] @ np.asarray(y, dtype=float) - pool._rhs[:rows]
     idx = np.nonzero(viol > VIOLATION_TOL)[0]
     order = idx[np.lexsort((idx, -viol[idx]))]
-    return [cuts[i] for i in order[:limit]]
+    return [pool._cuts[i] for i in order[:limit]]
 
 
 def _most_violated(cuts, y, limit):

@@ -130,24 +130,17 @@ def branch(node: SearchNode, y, active_cuts, mode: str):
     return children
 
 
-def _build_lp(g, active_cuts, node: SearchNode, dense):
+def _build_lp(g, active_cuts, node: SearchNode, pool):
     """The node's LP and a key per row: a cut's key, or a branching row's.
 
-    Every row is coeffs . y <= rhs for its key (coeffs, rhs).  dense maps
-    each key met so far to its dense coefficient row, built on first use.
+    Every row is coeffs . y <= rhs for its key (coeffs, rhs).  A cut's row
+    is the pool's array; a branching row goes in as a dict.
     """
     bounds = [(0.0, 1.0)] * g.n
     for i, fx in node.fixings.items():
         bounds[i] = (float(fx), float(fx))
+    rows = [(pool.row(cut), LP.LE, cut.rhs) for cut in active_cuts] + node.extra_rows
     keys = [cut.key for cut in active_cuts] + [_row_key(row) for row in node.extra_rows]
-    rows = []
-    for key in keys:
-        a = dense.get(key)
-        if a is None:
-            a = dense[key] = np.zeros(g.n)
-            for v, c in key[0]:
-                a[v] = c
-        rows.append((a, LP.LE, key[1]))
     return LP.LinearProgram([1.0] * g.n, rows, bounds), keys
 
 
@@ -172,14 +165,13 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         phase[name] += perf_counter() - t
         return out
 
-    pool = C.CutPool()
+    pool = C.CutPool(g.n)
     initial = list(C.initial_formulation(g))
     for cut in initial:
         pool.add(cut)
 
     best = Bipartition()
     lb = 0
-    dense = {}  # row key -> dense coefficient row, for this solve only
 
     def note_cut(cut):
         stats["cuts_by_kind"][cut.kind] = stats["cuts_by_kind"].get(cut.kind, 0) + 1
@@ -209,7 +201,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # rows the basis does not name are new or had basic slacks
         basis = node.basis
         while True:
-            lp_, keys = _build_lp(g, active_cuts, node, dense)
+            lp_, keys = _build_lp(g, active_cuts, node, pool)
             warm = None
             if basis is not None:
                 cols, nonbasic_rows = basis

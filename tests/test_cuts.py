@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -77,19 +78,21 @@ def test_cut_arithmetic():
     assert rel == "<=" and rhs == 1.0 and dict(coeffs) == {1: 1.0, 3: 1.0}
 
 
-def test_cut_pool_dedup_and_fifo():
-    pool = C.CutPool(capacity=2)
+def test_cut_pool_dedup():
+    pool = C.CutPool(4)
     a = C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.PARALLEL_EDGE)
     b = C.Cut.make({1: 1.0, 2: 1.0}, 1.0, C.PARALLEL_EDGE)
-    c = C.Cut.make({2: 1.0, 3: 1.0}, 1.0, C.PARALLEL_EDGE)
     assert pool.add(a) and not pool.add(a)
     assert pool.add(b)
-    assert pool.add(c)  # evicts a
-    assert pool.add(a)  # a can come back after eviction
+    # a cut of another kind with the same key is the same row
+    same = C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.CLIQUE)
+    assert same.key == a.key and not pool.add(same)
+    assert len(pool) == 2
+    assert pool.row(same).tolist() == [1.0, 1.0, 0.0, 0.0]
 
 
 def test_scan_pool_orders_by_violation():
-    pool = C.CutPool()
+    pool = C.CutPool(4)
     small = C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.PARALLEL_EDGE)
     big = C.Cut.make({2: 1.0, 3: 1.0}, 1.0, C.PARALLEL_EDGE)
     pool.add(small)
@@ -100,8 +103,8 @@ def test_scan_pool_orders_by_violation():
     assert C.scan_pool(pool, [0.0] * 4) == []
 
 
-def test_scan_pool_breaks_ties_by_age_across_rebuilds():
-    pool = C.CutPool(capacity=4)
+def test_scan_pool_breaks_ties_by_age():
+    pool = C.CutPool(5)
     cuts = [C.Cut.make({v: 1.0, v + 1: 1.0}, 1.0, C.PARALLEL_EDGE) for v in range(4)]
     y = [0.6, 0.6, 0.6, 0.8, 0.8]
     for cut in cuts[:3]:
@@ -111,8 +114,26 @@ def test_scan_pool_breaks_ties_by_age_across_rebuilds():
     assert C.scan_pool(pool, y, limit=2) == [cuts[2], cuts[0]]
     pool.add(cuts[3])  # appended to the matrix of the last scan
     assert C.scan_pool(pool, y) == [cuts[3], cuts[2], cuts[0], cuts[1]]
-    pool.add(C.Cut.make({0: 1.0, 4: 1.0}, 2.0, C.PARALLEL_EDGE))  # evicts cuts[0]
-    assert C.scan_pool(pool, y) == [cuts[3], cuts[2], cuts[1]]
+
+
+def test_cut_pool_keeps_rows_and_order_past_growth():
+    n = 12
+    pairs = list(itertools.combinations(range(n), 2))  # 66 cuts
+    cuts = [C.Cut.make({u: 1.0, v: 1.0}, 1.0, C.PARALLEL_EDGE) for u, v in pairs]
+    pool = C.CutPool(n)
+    pool.add(cuts[0])
+    first = pool.row(cuts[0]).copy()
+    for cut in cuts[1:]:
+        assert pool.add(cut)
+    assert len(pool) == len(cuts) > 64
+    assert np.array_equal(pool.row(cuts[0]), first)
+    for cut in cuts:
+        assert pool.row(cut).tolist() == [dict(cut.coeffs).get(v, 0.0) for v in range(n)]
+    # every pair is violated by 0.5, and the pairs with vertex 11, the last
+    # added among them, by 0.75: those first, then the rest, each by age
+    y = [0.75] * (n - 1) + [1.0]
+    expect = [c for c in cuts if 11 in dict(c.coeffs)] + [c for c in cuts if 11 not in dict(c.coeffs)]
+    assert C.scan_pool(pool, y, limit=len(cuts)) == expect
 
 
 def test_conflict_graph():
