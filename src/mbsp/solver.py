@@ -11,7 +11,7 @@ import numpy as np
 
 from . import cuts as C
 from . import lp as LP
-from .graph import Bipartition, SignedGraph, is_balanced
+from .graph import Bipartition, SignedGraph
 
 INT_TOL = 1e-6
 BINDING_TOL = 1e-6
@@ -64,15 +64,6 @@ class SolveResult:
 
 def _is_integral(y):
     return all(v <= INT_TOL or v >= 1.0 - INT_TOL for v in y)
-
-
-def _decode_integral(g, y):
-    """Bipartition for an integral point whose selection is balanced, else None."""
-    selected = frozenset(i for i, v in enumerate(y) if v > 0.5)
-    w = is_balanced(g, selected)
-    if w is None:
-        return None
-    return Bipartition(selected - w, w)
 
 
 def _row_key(row):
@@ -222,19 +213,16 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             if bound <= lb + 1 - INT_TOL:
                 prune = True
                 break
-            integral = _is_integral(y)
-            if integral:
-                decoded = _decode_integral(g, y)
-                if decoded is not None:
-                    if decoded.size() > lb:
-                        best, lb = decoded, decoded.size()
+            # the only incumbent path: on a balanced integral point the
+            # rounding returns that point's set, which closes the gap
+            p = timed("rounding", C.rounding_heuristic, g, y)
+            if p.size() > lb:
+                best, lb = p, p.size()
+                if bound <= lb + 1 - INT_TOL:
                     prune = True
                     break
-                # integral but unbalanced: exact separation must cut it off
-            else:
-                p = timed("rounding", C.rounding_heuristic, g, y)
-                if p.size() > lb:
-                    best, lb = p, p.size()
+            # an integral point left open is unbalanced: separation must cut it off
+            integral = _is_integral(y)
             stalled = prev_bound is not None and prev_bound - bound < 0.005
             if (rounds >= params.max_cut_rounds or stalled) and not integral:
                 break
@@ -283,9 +271,6 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             # unbalanced integral point survived the cut loop: branch cannot
             # help, but exact separation guarantees this is unreachable
             raise AssertionError("integral infeasible point not separated")
-        # the rounding heuristic of the last cut round may have closed the gap
-        if bound <= lb + 1 - INT_TOL:
-            continue
 
         # children inherit only the cuts still doing work at this node's point;
         # anything dropped stays in the pool and can return via scan_pool

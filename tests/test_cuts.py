@@ -12,7 +12,6 @@ from hypothesis import strategies as st
 from mbsp import cuts as C
 from mbsp import graph as G
 from mbsp import instances as I
-from mbsp import solver as S
 
 
 def balanced_incidence_vectors(g):
@@ -373,9 +372,9 @@ def test_rounding_heuristic_recovers_balanced_integral_points():
         assert p.selected == opt_p.selected
 
 
-def test_rounding_heuristic_orients_like_decode_on_maximal_balanced_points():
+def test_rounding_heuristic_orients_like_is_balanced_on_maximal_balanced_points():
     # on the point of a maximal balanced set, rounding keeps exactly that set,
-    # with each component's lowest vertex on side 1 as the solver's decode
+    # with each component's lowest vertex on side 1 as is_balanced orients it
     for seed in range(8):
         g = I.generate(I.RandomSpec(12, 0.4, seed=seed, parallel_frac=0.25))
         rng = random.Random(seed)
@@ -385,7 +384,8 @@ def test_rounding_heuristic_orients_like_decode_on_maximal_balanced_points():
                 if G.is_balanced(g, kept + [v]) is not None:
                     kept.append(v)
             y = [1.0 if v in kept else 0.0 for v in range(g.n)]
-            assert C.rounding_heuristic(g, y) == S._decode_integral(g, y)
+            w = G.is_balanced(g, kept)
+            assert C.rounding_heuristic(g, y) == G.Bipartition(frozenset(kept) - w, w)
 
 
 # ---------------------------------------------------------------------------

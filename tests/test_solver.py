@@ -50,6 +50,11 @@ def test_balanced_graph_selects_everything():
     g = I.generate_balanced(12, 0.5, seed=0)
     r = S.solve(g)
     assert r.lower_bound == 12
+    # the root LP's point is integral and the rounding closes the gap on it,
+    # with each component's lowest vertex on side 1 as is_balanced orients it
+    assert r.stats["nodes"] == 1
+    w = G.is_balanced(g)
+    assert r.best == G.Bipartition(frozenset(range(g.n)) - w, w)
 
 
 def test_single_parallel_pair():
