@@ -7,8 +7,6 @@ import time
 from dataclasses import dataclass, field, replace
 from time import perf_counter
 
-import numpy as np
-
 from . import cuts as C
 from . import lp as LP
 from .graph import Bipartition, SignedGraph
@@ -213,8 +211,8 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             if bound <= lb + 1 - INT_TOL:
                 prune = True
                 break
-            # the only incumbent path: on a balanced integral point the
-            # rounding returns that point's set, which closes the gap
+            # every incumbent comes from the rounding; on a balanced integral
+            # point it keeps that point's whole set, so the node is pruned
             p = timed("rounding", C.rounding_heuristic, g, y)
             if p.size() > lb:
                 best, lb = p, p.size()
