@@ -82,18 +82,26 @@ def cmd_check(args):
     return 0
 
 
+def _heuristic(g, method, tree, time_limit, iterations, seed):
+    """Run the heuristic method ("ggmz" or "grasp") on g."""
+    if method == "ggmz":
+        return ggmz(g, TreeStrategy(tree), StableSetParams(time_limit_seconds=time_limit, seed=seed))
+    return grasp(g, GraspParams(max_iterations=iterations, time_limit_seconds=time_limit, seed=seed))
+
+
+def _gap_pct(res):
+    """The percent gap of a stopped solve; None when optimal or lb is 0."""
+    lb = res.lower_bound
+    if res.status == "optimal" or lb <= 0:
+        return None
+    return 100.0 * (res.upper_bound - lb) / lb
+
+
 def cmd_heuristic(args):
     g = INST.read(args.instance)
     seed = _default_seed(args)
     t0 = time.monotonic()
-    if args.method == "ggmz":
-        params = StableSetParams(time_limit_seconds=args.time_limit, seed=seed)
-        p = ggmz(g, TreeStrategy(args.tree), params)
-    else:
-        params = GraspParams(
-            max_iterations=args.iterations, time_limit_seconds=args.time_limit, seed=seed
-        )
-        p = grasp(g, params)
+    p = _heuristic(g, args.method, args.tree, args.time_limit, args.iterations, seed)
     elapsed = time.monotonic() - t0
     print(
         json.dumps(
@@ -110,14 +118,10 @@ def cmd_heuristic(args):
 
 
 def _result_json(res, elapsed):
-    lb = res.lower_bound
-    gap = None
-    if res.status != "optimal" and lb > 0:
-        gap = 100.0 * (res.upper_bound - lb) / lb
     return {
-        "lb": lb,
+        "lb": res.lower_bound,
         "ub": res.upper_bound,
-        "gap_pct": gap,
+        "gap_pct": _gap_pct(res),
         "status": res.status,
         "nodes": res.stats["nodes"],
         "time_s": round(elapsed, 3),
@@ -160,10 +164,7 @@ def _bench_one(task):
     }
     t0 = time.monotonic()
     if method != "bc":
-        if method == "ggmz":
-            p = ggmz(g, TreeStrategy(tree), StableSetParams(time_limit_seconds=time_limit, seed=seed))
-        else:
-            p = grasp(g, GraspParams(max_iterations=iterations, time_limit_seconds=time_limit, seed=seed))
+        p = _heuristic(g, method, tree, time_limit, iterations, seed)
         base.update(status="heuristic", lb=p.size(), ub="", gap_pct="", nodes="")
     else:
         try:
@@ -175,9 +176,8 @@ def _bench_one(task):
             base.update(status=f"error:{type(exc).__name__}", lb="", ub="", gap_pct="", nodes="")
             base["time_s"] = time.monotonic() - t0
             return base
-        gap = ""
-        if res.status != "optimal" and res.lower_bound > 0:
-            gap = f"{100.0 * (res.upper_bound - res.lower_bound) / res.lower_bound:.2f}"
+        gap = _gap_pct(res)
+        gap = "" if gap is None else f"{gap:.2f}"
         ub = f"{res.upper_bound:.4f}".rstrip("0").rstrip(".")
         base.update(status=res.status, lb=res.lower_bound, ub=ub, gap_pct=gap, nodes=res.stats["nodes"])
     base["time_s"] = time.monotonic() - t0
@@ -302,7 +302,7 @@ def build_parser():
     p.add_argument("--iterations", type=_positive(int), default=100)
     p.add_argument("--time-limit", type=_positive(float), default=3600.0)
     p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=_positive(int), default=1)
     p.add_argument("--omit-times", action="store_true", help="blank time cells for byte-reproducible output")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_bench)

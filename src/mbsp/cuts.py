@@ -1,4 +1,4 @@
-"""Cuts for the branch-and-cut solver: initial formulation, the four
+"""Cuts for the branch-and-cut solver: initial formulation, the three
 separation routines, lifting, the cut pool, and the rounding heuristic."""
 
 from __future__ import annotations

@@ -131,6 +131,8 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
         ["bench", "--dir", "{d}", "--method", "ggmz", "--tree", "bogus"],
         ["bench", "--dir", "{d}", "--method", "grasp", "--iterations", "0"],
         ["bench", "--dir", "{d}", "--method", "grasp", "--time-limit", "0"],
+        ["bench", "--dir", "{d}", "--workers", "0"],
+        ["bench", "--dir", "{d}", "--workers", "-3"],
         ["solve", "{g}", "--max-cuts", "0"],
         ["solve", "{g}", "--max-cuts", "-3"],
         ["solve", "{g}", "--max-rounds", "-1"],
