@@ -321,6 +321,7 @@ def n50_results():
     return results
 
 
+@pytest.mark.slow
 def test_criterion_8_group2_n50_scale(n50_results):
     worst = 0.0
     for spec, rc, tc, _ in n50_results:
@@ -333,6 +334,7 @@ def test_criterion_8_group2_n50_scale(n50_results):
     )
 
 
+@pytest.mark.slow
 def test_criterion_9_branching_rule_effect(n50_results):
     cycle_nodes = []
     standard_nodes = []
