@@ -1,6 +1,8 @@
+import inspect
 import itertools
 import math
 import random
+import sys
 
 import pytest
 
@@ -317,3 +319,129 @@ def test_stable_set_grasp_matches_the_loop_without_the_bound():
                 assert got == _stable_set_grasp_reference(h, params)
                 stops.add(len(got) == GZ._stable_set_bound(mask_adjacency(h), h.n))
     assert stops == {True, False}  # both the bound's stop and the stall stop ran
+
+
+def random_adjacency(n, d, rng):
+    adj = [0] * n
+    for u, v in itertools.combinations(range(n), 2):
+        if rng.random() < d:
+            adj[u] |= 1 << v
+            adj[v] |= 1 << u
+    return adj
+
+
+def _peel_and_cover_reference(adj, n):
+    """The bound without the search: vertices of degree <= 1 taken with
+    their neighbours deleted, then one per clique of a greedy cover of the
+    rest, each clique grown from its lowest vertex by the lowest common
+    neighbour."""
+    alive = (1 << n) - 1
+    bound = 0
+    taken = True
+    while taken:
+        taken = False
+        for v in G.bits(alive):
+            if alive >> v & 1 and (adj[v] & alive).bit_count() <= 1:
+                alive &= ~(adj[v] | 1 << v)
+                bound += 1
+                taken = True
+    while alive:
+        clique = alive & -alive
+        rest = adj[clique.bit_length() - 1] & alive
+        while rest:
+            u = rest & -rest
+            clique |= u
+            rest &= adj[u.bit_length() - 1]
+        alive &= ~clique
+        bound += 1
+    return bound
+
+
+def test_stable_set_bound_is_the_stability_number():
+    rng = random.Random(13)
+    cases = 0
+    for _ in range(120):
+        n = rng.randint(1, 13)
+        adj = random_adjacency(n, rng.choice((0.1, 0.3, 0.5, 0.7, 0.9)), rng)
+        alpha = max_stable_set_size([set(G.bits(a)) for a in adj], n)
+        for lower in range(alpha + 1):
+            assert GZ._stable_set_bound(adj, n, lower) == alpha, (adj, lower)
+            cases += 1
+    assert cases >= 400
+
+
+def test_stable_set_bound_without_search_nodes_is_peel_and_cover(monkeypatch):
+    rng = random.Random(5)
+    graphs = []
+    for _ in range(200):
+        n = rng.randint(1, 30)
+        graphs.append((n, random_adjacency(n, rng.choice((0.05, 0.2, 0.5, 0.8)), rng)))
+    searched = [GZ._stable_set_bound(adj, n) for n, adj in graphs]
+    monkeypatch.setattr(GZ, "ALPHA_SEARCH_NODES", 0)
+    loose = 0
+    for (n, adj), alpha in zip(graphs, searched):
+        want = _peel_and_cover_reference(adj, n)
+        assert GZ._stable_set_bound(adj, n) == want
+        loose += want > alpha
+    assert loose > 50  # the search proves a tighter bound on these
+
+
+def negative_five_cycles(count):
+    return G.build(5 * count, [(5 * c + i, 5 * c + (i + 1) % 5, "-") for c in range(count) for i in range(5)])
+
+
+def test_stable_set_grasp_on_many_disjoint_five_cycles():
+    # no vertex peels, the clique cover counts 3 per cycle and alpha is 2
+    h = negative_five_cycles(700)
+    adj = mask_adjacency(h)
+    assert _peel_and_cover_reference(adj, h.n) == 2100
+    s = GZ.stable_set_grasp(h, GZ.StableSetParams(time_limit_seconds=2, seed=1))
+    mask = sum(1 << v for v in s)
+    for v in range(h.n):
+        assert not (v in s and adj[v] & mask)  # stable
+        assert v in s or adj[v] & mask  # maximal
+
+
+def test_stable_set_bound_search_is_not_recursive():
+    # pruned against alpha = 400, the first dive takes one vertex of each of
+    # 200 cycles before the cover bound meets 400: 200 levels deep, under a
+    # recursion limit 100 frames above this one
+    h = negative_five_cycles(200)
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(len(inspect.stack()) + 100)
+    try:
+        got = GZ._stable_set_bound(mask_adjacency(h), h.n, 400)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert got == 600  # the budget runs out: proving alpha takes 2^200 nodes
+
+
+def test_stable_set_bound_stops_at_the_deadline(monkeypatch):
+    # a fake clock advancing one tick per reading from 0: with deadline k the
+    # search reads the clock once per node and stops at the reading k
+    clock = [-1]
+
+    def monotonic():
+        clock[0] += 1
+        return clock[0]
+
+    monkeypatch.setattr(GZ.time, "monotonic", monotonic)
+    stops = 0
+    for seed in range(6):
+        h = G.negative_part(I.generate(I.RandomSpec(40, 0.5, seed=seed, neg_ratio=1.0)))
+        adj = mask_adjacency(h)
+        cover = _peel_and_cover_reference(adj, h.n)
+        clock[0] = -1
+        alpha = GZ._stable_set_bound(adj, h.n, 0, math.inf)
+        nodes = clock[0] + 1
+        assert alpha < cover and nodes > 10
+        for k in range(nodes + 2):
+            clock[0] = -1
+            got = GZ._stable_set_bound(adj, h.n, 0, k)
+            assert clock[0] <= k  # no reading after the one that reached k
+            if k < nodes:
+                assert got == cover
+                stops += 1
+            else:
+                assert got == alpha
+    assert stops > 60
