@@ -196,7 +196,7 @@ def _aggregate(rows, omit_times=False):
         group, n, method = key
         bucket = cells[key]
         solved = [r for r in bucket if r["status"] in ("optimal", "heuristic")]
-        unsolved = [r for r in bucket if r["status"] == "time_limit"]
+        unsolved = [r for r in bucket if r["status"] in ("time_limit", "numerical_error")]
         if not solved:
             time_cell = "-"
         elif omit_times:

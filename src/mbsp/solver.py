@@ -56,7 +56,7 @@ class SolveResult:
     best: Bipartition
     lower_bound: int
     upper_bound: float
-    status: str  # "optimal" | "time_limit"
+    status: str  # "optimal" | "time_limit" | "numerical_error"
     stats: dict = field(default_factory=dict)
 
 
@@ -150,9 +150,10 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
 
     def timed(name, fn, *args, **kwargs):
         t = perf_counter()
-        out = fn(*args, **kwargs)
-        phase[name] += perf_counter() - t
-        return out
+        try:
+            return fn(*args, **kwargs)
+        finally:
+            phase[name] += perf_counter() - t
 
     pool = C.CutPool(g.n)
     initial = list(C.initial_formulation(g))
@@ -170,7 +171,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     heap = [(-root.bound, counter, root)]
     status = "optimal"
 
-    while heap:
+    while heap and status == "optimal":
         if time.monotonic() >= deadline:
             status = "time_limit"
             break
@@ -195,7 +196,16 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             if basis is not None:
                 cols, nonbasic_rows = basis
                 warm = LP.Basis(cols, tuple(nonbasic_rows.get(k) for k in keys))
-            sol = timed("lp", LP.solve, lp_, warm)
+            try:
+                sol = timed("lp", LP.solve, lp_, warm)
+            except LP.NumericalError:
+                # the node goes back open at its own bound, which is valid,
+                # and the search stops as at a deadline
+                counter += 1
+                heapq.heappush(heap, (-node.bound, counter, node))
+                status = "numerical_error"
+                prune = True
+                break
             stats["lp_solves"] += 1
             stats["lp_pivots"] += sol.pivots
             stats["lp_cold_starts"] += sol.cold_start

@@ -246,6 +246,15 @@ def test_bench_csv_shape(tmp_path, capsys):
     assert all(c[3].startswith("(") or c[3] == "-" for c in cells)
 
 
+def test_bench_summary_counts_a_numerical_error_as_unsolved():
+    rows = [
+        {"group": 1, "n": 10, "method": "bc", "status": "optimal", "time_s": 1.0, "gap_pct": ""},
+        {"group": 1, "n": 10, "method": "bc", "status": "time_limit", "time_s": 9.0, "gap_pct": "10.00"},
+        {"group": 1, "n": 10, "method": "bc", "status": "numerical_error", "time_s": 2.0, "gap_pct": "20.00"},
+    ]
+    assert cli._aggregate(rows)[1:] == ["1,10,bc,1.00(1),15.00"]
+
+
 def test_bench_deterministic_with_omit_times(tmp_path, capsys):
     d = make_suite(tmp_path)
     args = ["bench", "--dir", str(d), "--method", "bc", "--seed", "0", "--omit-times"]

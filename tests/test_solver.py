@@ -167,6 +167,41 @@ def test_stop_at_every_deadline_keeps_valid_bounds(monkeypatch, mode):
     assert stops >= 20
 
 
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_numerical_error_stops_with_valid_bounds(monkeypatch, mode):
+    # LP.solve raises on its k-th call, warm or cold, for every k the solve
+    # reaches: the search stops there with the failing node open
+    lp_solve = LP.solve
+    stops = 0
+    for seed in range(4):
+        for spec in (
+            I.RandomSpec(10, 0.6, seed=seed, neg_ratio=1.0),
+            I.RandomSpec(10, 0.6, seed=seed, parallel_frac=0.5),
+        ):
+            g = I.generate(spec)
+            opt, _ = I.brute_force(g)
+            for k in itertools.count(1):
+                calls = [0]
+
+                def failing(*args):
+                    calls[0] += 1
+                    if calls[0] == k:
+                        raise LP.NumericalError("injected")
+                    return lp_solve(*args)
+
+                monkeypatch.setattr(LP, "solve", failing)
+                r = S.solve(g, S.SolveParams(branching=mode))
+                assert r.lower_bound <= opt <= r.upper_bound, (spec, k)
+                assert G.is_feasible(g, r.best) and r.best.size() == r.lower_bound
+                if calls[0] < k:  # the solve ended before the k-th LP
+                    assert r.status == "optimal" and r.upper_bound == opt
+                    break
+                assert r.status == "numerical_error" and calls[0] == k
+                assert r.stats["lp_solves"] == k - 1
+                stops += 1
+    assert stops >= 10
+
+
 def test_standard_branching_partitions_region():
     for seed in range(6):
         g = I.generate(I.RandomSpec(8, 0.6, seed=seed, neg_ratio=1.0))
