@@ -89,22 +89,9 @@ def _clique_classes(adj, cand):
             u = rest & -rest
             clique |= u
             rest &= adj[u.bit_length() - 1]
-        cand &= ~clique
+        cand ^= clique
         classes.append(clique)
     return classes
-
-
-def _branch_order(classes, kmin):
-    """(vertex, class number) for the vertices of classes numbered kmin and
-    up, by ascending number; the search branches on them from the end."""
-    order = []
-    for k in range(max(kmin, 1), len(classes) + 1):
-        clique = classes[k - 1]
-        while clique:
-            low = clique & -clique
-            order.append((low.bit_length() - 1, k))
-            clique ^= low
-    return order
 
 
 def _stable_set_bound(adj, n, lower=0, deadline=math.inf):
@@ -117,10 +104,10 @@ def _stable_set_bound(adj, n, lower=0, deadline=math.inf):
     lower, the size of a known stable set: a maximum-clique search on the
     complement (MCQ, Tomita and Seki 2003) over bitmasks (BBMC, San Segundo
     et al. 2011).  Each node covers its candidates by _clique_classes, and
-    since a stable set meets a clique at most once, a candidate of class k
-    can extend the set by at most k.  After ALPHA_SEARCH_NODES nodes or at
-    the deadline (time.monotonic) the search stops and the bound is the
-    peeled count plus the number of cliques covering the rest."""
+    since a stable set meets a clique at most once, a candidate of the k-th
+    clique can extend the set by at most k.  After ALPHA_SEARCH_NODES nodes
+    or at the deadline (time.monotonic) the search stops and the bound is
+    the peeled count plus the number of cliques covering the rest."""
     alive = (1 << n) - 1
     peeled = 0
     taken = True
@@ -133,24 +120,28 @@ def _stable_set_bound(adj, n, lower=0, deadline=math.inf):
                 taken = True
     classes = _clique_classes(adj, alive)
     best = max(lower - peeled, 0)
-    # a frame is [set size, candidates, branch order]; candidates lose each
-    # vertex branched on, so a later sibling never repeats an earlier one
-    stack = [[0, alive, _branch_order(classes, best + 1)]]
+    # a frame is [set size, candidates, cliques not yet branched on, what is
+    # left of the clique being branched on]; the last clique goes first, and
+    # each vertex branched on leaves the candidates of its later siblings
+    stack = [[0, alive, classes[:], 0]]
     nodes = 0
     while stack and best < len(classes):
         frame = stack[-1]
-        size, cand, order = frame
-        if not order or size + order[-1][1] <= best:
+        size, cand, cliques, left = frame
+        if not left and cliques:
+            left = cliques.pop()
+        if not left or size + len(cliques) + 1 <= best:
             stack.pop()  # no candidate left can beat best
             continue
         if nodes == ALPHA_SEARCH_NODES or time.monotonic() >= deadline:
             return peeled + len(classes)
         nodes += 1
-        v, _ = order.pop()
-        frame[1] = cand = cand & ~(1 << v)
-        sub = cand & ~adj[v]
+        v = left & -left
+        frame[1] = cand = cand ^ v
+        frame[3] = left ^ v
+        sub = cand & ~adj[v.bit_length() - 1]
         if sub:
-            stack.append([size + 1, sub, _branch_order(_clique_classes(adj, sub), best - size)])
+            stack.append([size + 1, sub, _clique_classes(adj, sub), 0])
         else:
             best = max(best, size + 1)
     return peeled + best
