@@ -403,9 +403,9 @@ def test_stable_set_grasp_on_many_disjoint_five_cycles():
 
 
 def test_stable_set_bound_search_is_not_recursive():
-    # pruned against alpha = 400, the first dive takes one vertex of each of
-    # 200 cycles before the cover bound meets 400: 200 levels deep, under a
-    # recursion limit 100 frames above this one
+    # pruned against alpha = 400 and taking one vertex per level, the search
+    # runs hundreds of levels deep, under a recursion limit 100 frames above
+    # this one
     h = negative_five_cycles(200)
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(len(inspect.stack()) + 100)
