@@ -155,7 +155,7 @@ def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     stability number α, pruning against that construction's size.  The
     iterations stop once the best set reaches α when the search proves it,
     and otherwise the peeling plus clique-cover bound it falls back to;
-    since best <= α <= bound, the bound only ends the search earlier."""
+    since best <= α <= bound, the bound only ends the iterations earlier."""
     adj = [plus | minus for plus, minus in h.sign_masks]
     rng = random.Random(params.seed)
     deadline = time.monotonic() + params.time_limit_seconds
