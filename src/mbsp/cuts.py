@@ -92,8 +92,6 @@ def scan_pool(pool: CutPool, y, limit=100):
     """Pool cuts violated by the current point, most violated first (ties by
     age)."""
     rows = len(pool)
-    if not rows:
-        return []
     viol = pool._mat[:rows] @ np.asarray(y, dtype=float) - pool._rhs[:rows]
     idx = np.nonzero(viol > VIOLATION_TOL)[0]
     order = idx[np.lexsort((idx, -viol[idx]))]
@@ -225,51 +223,34 @@ def _canonical_cycle(cycle):
 
 def initial_formulation(g: SignedGraph):
     """Seed cuts: clique cover of the conflict graph, one short odd negative
-    cycle per vertex, and maximal negative cliques.  Returns a list of Cut."""
-    cuts = []
-    emitted = set()
+    cycle per vertex, and maximal negative cliques.  Returns a list of Cut,
+    the first cut per key."""
+    cuts = {}
 
-    def push(cut):
-        if cut.key not in emitted:
-            emitted.add(cut.key)
-            cuts.append(cut)
+    def add(cut):
+        cuts.setdefault(cut.key, cut)
 
     # (a) cliques covering every parallel pair
     for clique in _greedy_clique_cover(g.conflicts, min_size=2):
-        members = sorted(clique)
-        if len(members) == 2:
-            u, v = members
-            push(Cut.make({u: 1.0, v: 1.0}, 1.0, PARALLEL_EDGE))
-        else:
-            push(Cut.make({v: 1.0 for v in members}, 1.0, CLIQUE))
+        add(Cut.make({v: 1.0 for v in clique}, 1.0, PARALLEL_EDGE if len(clique) == 2 else CLIQUE))
 
-    # (b) one shortest odd negative closed walk per vertex, capped at 2n rows
-    cycle_rows = 0
-    seen_cycles = set()
+    # (b) one shortest odd negative closed walk per vertex, reduced to a
+    # simple cycle; a cycle of length 2 is a parallel pair, which (a) covers.
+    # A vertex with a parallel pair has that pair as its walk, so it is not
+    # searched.
     # the positive arc of a parallel pair first
     arcs = [[(v, int(s == NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in g.signs]
     for v in range(g.n):
-        if cycle_rows >= 2 * g.n:
-            break
-        walk = _shortest_odd_walk_unit(arcs, v)
-        if walk is None:
-            continue
-        cycle = _simple_odd_cycle(walk)
-        if len(cycle) < 3:
-            continue  # parallel pair, already covered by (a)
-        key = _canonical_cycle(cycle)
-        if key in seen_cycles:
-            continue
-        seen_cycles.add(key)
-        push(_cycle_cut(key))
-        cycle_rows += 1
+        walk = None if g.conflicts[v] else _shortest_odd_walk_unit(arcs, v)
+        if walk is not None and len(cycle := _simple_odd_cycle(walk)) >= 3:
+            add(_cycle_cut(_canonical_cycle(cycle)))
 
     # (c) maximal cliques of size >= 3 in the negative-edge graph
     neg_adj = [{v for v, ss in nbrs.items() if NEG in ss} for nbrs in g.signs]
     for clique in _greedy_clique_cover(neg_adj, min_size=3):
-        push(Cut.make({v: 1.0 for v in sorted(clique)}, 2.0, NEG_CLIQUE))
+        add(Cut.make({v: 1.0 for v in clique}, 2.0, NEG_CLIQUE))
 
-    return cuts
+    return list(cuts.values())
 
 
 # ---------------------------------------------------------------------------
@@ -572,7 +553,7 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str, cycle) -> Cut:
         z_star, exhausted = _max_weight_balanced_subset(masks, verts, coeffs, v, cap=cap)
         if exhausted:
             continue
-        alpha = cut.rhs - (z_star if z_star > float("-inf") else 0.0)
+        alpha = cut.rhs - z_star  # a completed search has counted {v}: z* >= 0
         if alpha > 1e-9:
             coeffs[v] = alpha
     if len(coeffs) == len(cut.coeffs):

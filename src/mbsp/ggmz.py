@@ -35,12 +35,14 @@ def switch_set_from_forest(t: SignedGraph) -> frozenset:
     return is_balanced(t)
 
 
-def _greedy_stable_set(adj, n, rng):
+def _greedy_stable_set(adj, n, rng, deadline=math.inf):
     """Randomized degree-greedy construction of a maximal stable set, over
-    neighbour bitmasks adj; returns the set as a bitmask."""
+    neighbour bitmasks adj; returns the set as a bitmask.  The deadline
+    (time.monotonic) is read before each pick, and once it has passed the
+    set is returned as it stands, stable but not always maximal."""
     alive = (1 << n) - 1
     chosen = 0
-    while alive:
+    while alive and time.monotonic() < deadline:
         live = bits(alive)
         degree = [(adj[v] & alive).bit_count() for v in live]
         lo, hi = min(degree), max(degree)
@@ -161,7 +163,7 @@ def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     deadline = time.monotonic() + params.time_limit_seconds
 
     def construct():
-        return _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng), deadline)
+        return _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng, deadline), deadline)
 
     best = construct()
     bound = _stable_set_bound(adj, h.n, best.bit_count(), deadline)

@@ -111,7 +111,7 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
     side, (ii) a pair; each then inserts one candidate and re-maximalizes.
     The current solution is replaced by the largest neighbor, (i) is scanned
     fully before (ii), and the search halts at a local optimum or at the
-    deadline, which is checked before each side's scan."""
+    deadline, which is checked before each removed set."""
     if not is_feasible(g, p):
         raise GraphError("local_search requires a feasible solution")
     masks, full = g.sign_masks, (1 << g.n) - 1
@@ -120,9 +120,9 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
         best = current
         for k in (1, 2):  # neighborhood (i) removes one vertex, (ii) a pair
             for side in (1, 2):
-                if deadline is not None and time.monotonic() >= deadline:
-                    return _bipartition(best)
                 for removed in combinations(bits(current[side - 1]), k):
+                    if deadline is not None and time.monotonic() >= deadline:
+                        return _bipartition(best)
                     for q in _neighbors_removing(masks, full, current, removed, side):
                         if _size(q) > _size(best):
                             best = q

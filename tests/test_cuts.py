@@ -168,6 +168,90 @@ def test_initial_formulation_cuts_are_valid():
                     assert cut.violation(y) <= 1e-9
 
 
+def reference_initial_formulation(g):
+    """initial_formulation as it was before one dict took over its dedupe:
+    an emitted-key set, the odd-walk search from every vertex, a set of
+    canonical cycles and a cap of 2n cycle rows."""
+    cuts = []
+    emitted = set()
+
+    def push(cut):
+        if cut.key not in emitted:
+            emitted.add(cut.key)
+            cuts.append(cut)
+
+    for clique in C._greedy_clique_cover(g.conflicts, min_size=2):
+        members = sorted(clique)
+        if len(members) == 2:
+            u, v = members
+            push(C.Cut.make({u: 1.0, v: 1.0}, 1.0, C.PARALLEL_EDGE))
+        else:
+            push(C.Cut.make({v: 1.0 for v in members}, 1.0, C.CLIQUE))
+
+    cycle_rows = 0
+    seen_cycles = set()
+    arcs = [[(v, int(s == G.NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in g.signs]
+    for v in range(g.n):
+        if cycle_rows >= 2 * g.n:
+            break
+        walk = C._shortest_odd_walk_unit(arcs, v)
+        if walk is None:
+            continue
+        cycle = C._simple_odd_cycle(walk)
+        if len(cycle) < 3:
+            continue
+        key = C._canonical_cycle(cycle)
+        if key in seen_cycles:
+            continue
+        seen_cycles.add(key)
+        push(C._cycle_cut(key))
+        cycle_rows += 1
+
+    neg_adj = [{v for v, ss in nbrs.items() if G.NEG in ss} for nbrs in g.signs]
+    for clique in C._greedy_clique_cover(neg_adj, min_size=3):
+        push(C.Cut.make({v: 1.0 for v in sorted(clique)}, 2.0, C.NEG_CLIQUE))
+    return cuts
+
+
+def test_initial_formulation_matches_the_reference():
+    # 420 random graphs of both groups, among them all-parallel
+    # (parallel_frac 1) and all-positive (neg_ratio 0) ones; Cut equality
+    # compares coeffs, rhs, kind and support cycle, list equality the order
+    rng = random.Random(16)
+    kinds = collections.Counter()
+    for seed in range(420):
+        n = rng.randint(3, 45)
+        d = rng.uniform(max(0.05, 2.0 / (n * (n - 1))), 1.0)
+        spec = (
+            I.RandomSpec(n, d, seed=seed, neg_ratio=rng.choice([0.0, 0.5, 1.0, 2.0, 8.0]))
+            if seed % 2
+            else I.RandomSpec(n, d, seed=seed, parallel_frac=rng.choice([0.05, 0.2, 0.5, 1.0]))
+        )
+        g = I.generate(spec)
+        got = C.initial_formulation(g)
+        assert got == reference_initial_formulation(g), spec
+        kinds.update(cut.kind for cut in got)
+    assert all(kinds[k] > 20 for k in (C.PARALLEL_EDGE, C.CLIQUE, C.ODD_NEG_CYCLE, C.NEG_CLIQUE)), kinds
+
+
+def test_initial_odd_walk_search_skips_vertices_with_a_parallel_pair(monkeypatch):
+    # such a vertex's shortest odd closed walk is its parallel pair, which the
+    # clique cover already covers
+    g = I.generate(I.RandomSpec(30, 0.3, seed=1, parallel_frac=0.1))
+    starts = []
+    search = C._shortest_odd_walk_unit
+
+    def recording(arcs, start):
+        starts.append(start)
+        return search(arcs, start)
+
+    monkeypatch.setattr(C, "_shortest_odd_walk_unit", recording)
+    cuts = C.initial_formulation(g)
+    free = [v for v in range(g.n) if not g.conflicts[v]]
+    assert starts == free and 0 < len(free) < g.n
+    assert any(cut.kind == C.ODD_NEG_CYCLE for cut in cuts)
+
+
 def test_exact_separation_completeness():
     rng = random.Random(5)
     for seed in range(10):

@@ -253,6 +253,51 @@ def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
         assert len(seen) > 1, "no exchange ran"
 
 
+def fake_clock(monkeypatch):
+    """Replace GZ's time.monotonic by a clock that reads 0, 1, 2, ... and
+    return its one-element list, which holds the last reading."""
+    clock = [-1]
+
+    def monotonic():
+        clock[0] += 1
+        return clock[0]
+
+    monkeypatch.setattr(GZ.time, "monotonic", monotonic)
+    return clock
+
+
+def test_greedy_stable_set_stops_at_the_deadline(monkeypatch):
+    # with deadline k the construction reads 0, 1, ... before each pick and
+    # picks only below k: its picks are the first k of the run without one
+    clock = fake_clock(monkeypatch)
+    for seed in range(6):
+        h = G.negative_part(I.generate(I.RandomSpec(30, 0.3, seed=seed, neg_ratio=1.0)))
+        masks = mask_adjacency(h)
+        free_run = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
+        picks = free_run.bit_count()
+        assert picks > 3
+        for k in range(picks + 2):
+            clock[0] = -1
+            got = GZ._greedy_stable_set(masks, h.n, random.Random(seed), k)
+            assert clock[0] <= k  # no reading after the one that reached k
+            assert got & ~free_run == 0 and got.bit_count() == min(k, picks)
+
+
+def test_stable_set_grasp_is_maximal_when_the_deadline_cuts_the_construction(monkeypatch):
+    # the deadline is the first reading plus the limit, so small limits stop
+    # the first construction after a few picks; the exchange step then makes
+    # the set maximal
+    fake_clock(monkeypatch)
+    h = negative_five_cycles(40)
+    adj = mask_adjacency(h)
+    for limit in (1, 2, 5, 20):
+        s = GZ.stable_set_grasp(h, GZ.StableSetParams(time_limit_seconds=limit, seed=limit))
+        mask = sum(1 << v for v in s)
+        for v in range(h.n):
+            assert not (v in s and adj[v] & mask)  # stable
+            assert v in s or adj[v] & mask  # maximal
+
+
 def test_stable_set_bound_is_an_upper_bound():
     for seed in range(12):
         for d in (0.1, 0.3, 0.5, 0.7, 0.9):

@@ -240,3 +240,42 @@ def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():
         assert q.size() >= p.size()
         assert not GR.candidates(g, q, 1) and not GR.candidates(g, q, 2)
         assert q == _maximalize_reference(g, p)  # no neighborhood was scanned
+
+
+def test_local_search_stops_at_the_deadline(monkeypatch):
+    # a fake clock advancing one tick per reading from 0: with deadline k the
+    # search reads 0, 1, ... before each removed set and scans only below k,
+    # so at most k sets
+    clock = [-1]
+    seen = []
+    neighbors = GR._neighbors_removing
+
+    def monotonic():
+        clock[0] += 1
+        return clock[0]
+
+    def recording(*args):
+        seen.append(clock[0])
+        return neighbors(*args)
+
+    monkeypatch.setattr(GR.time, "monotonic", monotonic)
+    monkeypatch.setattr(GR, "_neighbors_removing", recording)
+    bound = 0
+    for seed in range(4):
+        g = I.generate(I.RandomSpec(14, 0.4, seed=seed, parallel_frac=0.3))
+        p = GR.construct(g, random.Random(seed))
+        p = G.Bipartition(frozenset(sorted(p.v1)[1:]), p.v2)
+        seen[:] = []
+        free_run = GR.local_search(g, p)
+        scans = len(seen)
+        for k in range(scans + 2):
+            clock[0], seen[:] = -1, []
+            q = GR.local_search(g, p, deadline=k)
+            assert len(seen) <= k and all(t < k for t in seen)
+            assert G.is_feasible(g, q) and q.size() >= p.size()
+            assert not GR.candidates(g, q, 1) and not GR.candidates(g, q, 2)
+            if len(seen) < k:  # the deadline did not bind
+                assert q == free_run
+            else:
+                bound += 1
+    assert bound > 20
