@@ -53,11 +53,14 @@ def _greedy_stable_set(adj, n, rng, deadline=math.inf):
     return chosen
 
 
-def _exchange(adj, full, stable):
+def _exchange(adj, full, stable, deadline):
     """The first (1,2)-exchange in ascending (i, a, b) order, or None: drop
-    member i, add outsiders a < b that see no other member nor each other."""
+    member i, add outsiders a < b that see no other member nor each other;
+    also None once the deadline (time.monotonic), read before each i, passes."""
     outside = bits(full & ~stable)
     for i in bits(stable):
+        if time.monotonic() >= deadline:
+            return None
         rest = stable & ~(1 << i)
         free = sum(1 << v for v in outside if not adj[v] & rest)
         for a in bits(free):
@@ -71,7 +74,7 @@ def _one_two_exchange(adj, n, stable, deadline):
     """Improve by removing one member and adding two non-adjacent outsiders,
     until no exchange is left or the deadline (time.monotonic) passes."""
     full = (1 << n) - 1
-    while time.monotonic() < deadline and (better := _exchange(adj, full, stable)) is not None:
+    while time.monotonic() < deadline and (better := _exchange(adj, full, stable, deadline)) is not None:
         stable = better
     # maximalize: the exchange may leave room for more vertices
     for v in bits(full & ~stable):

@@ -11,7 +11,8 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate
+from operator import or_
 
 from .graph import Bipartition, GraphError, SignedGraph, bits, is_feasible
 
@@ -93,17 +94,39 @@ def construct(g: SignedGraph, rng: random.Random) -> Bipartition:
         state = _insert(masks, state, rng.choice(bits(c1 if w == 1 else c2)), w)
 
 
-def _neighbors_removing(masks, full, state, removed, side):
-    """Deterministic completions after removing `removed` from `side`: for
-    each admissible first insertion j (into the shrunken side or the other
-    side, ascending) yields the greedily re-maximalized state."""
-    drop = sum(1 << i for i in removed)
-    base = _state(masks, bits(state[0] & ~drop), bits(state[1] & ~drop))
-    c1, c2 = _open(base, full)
-    c_same = c1 if side == 1 else c2
-    for j in bits(c1 | c2):
-        w = side if c_same >> j & 1 else 3 - side
-        yield _maximalize(masks, full, _insert(masks, base, j, w))
+def _bases(masks, full, state, side, k):
+    """The states of state with each k-subset (k = 1 or 2) of a side's
+    members removed, in combinations order.  A selected vertex's bar masks
+    depend only on its side, so with (f1, f2) packed as f1 | f2 << n the
+    bars of the vertices that stay are the OR of a prefix, a running and a
+    suffix OR over the selected vertices: O(1) operations per removed set."""
+    n = full.bit_length()
+
+    def bar(i, w):  # (f1, f2) is (minus, plus) on side 1, (plus, minus) on side 2
+        return masks[i][2 - w] | masks[i][w - 1] << n
+
+    def without(drop, f):
+        return state[0] & ~drop, state[1] & ~drop, f & full, f >> n
+
+    members = bits(state[side - 1])
+    # the members' bars, then the other side's, which every suffix keeps
+    bars = [bar(i, side) for i in members] + [bar(i, 3 - side) for i in bits(state[2 - side])]
+    pre = [*accumulate(bars, or_, initial=0)]  # pre[a]: the OR of bars[:a]
+    suf = [*accumulate(reversed(bars), or_, initial=0)][::-1]  # suf[a]: of bars[a:]
+    for a, i in enumerate(members):
+        if k == 1:
+            yield without(1 << i, pre[a] | suf[a + 1])
+            continue
+        mid = pre[a]  # grows by each member that b passes
+        for b in range(a + 1, len(members)):
+            yield without(1 << i | 1 << members[b], mid | suf[b + 1])
+            mid |= bars[b]
+
+
+def _ceiling(state, full):
+    """A bound on the size of state completed: insertions shrink the open sets."""
+    c1, c2 = _open(state, full)
+    return _size(state) + (c1 | c2).bit_count()
 
 
 def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
@@ -111,7 +134,10 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
     side, (ii) a pair; each then inserts one candidate and re-maximalizes.
     The current solution is replaced by the largest neighbor, (i) is scanned
     fully before (ii), and the search halts at a local optimum or at the
-    deadline, which is checked before each removed set."""
+    deadline, which is checked before each removed set.  Each removed set's
+    state comes from _bases, and since only a strictly larger neighbor
+    replaces the best, a removed set or first insertion whose _ceiling is
+    no larger than the best is skipped."""
     if not is_feasible(g, p):
         raise GraphError("local_search requires a feasible solution")
     masks, full = g.sign_masks, (1 << g.n) - 1
@@ -120,12 +146,18 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
         best = current
         for k in (1, 2):  # neighborhood (i) removes one vertex, (ii) a pair
             for side in (1, 2):
-                for removed in combinations(bits(current[side - 1]), k):
+                for base in _bases(masks, full, current, side, k):
                     if deadline is not None and time.monotonic() >= deadline:
                         return _bipartition(best)
-                    for q in _neighbors_removing(masks, full, current, removed, side):
-                        if _size(q) > _size(best):
-                            best = q
+                    if _ceiling(base, full) <= _size(best):
+                        continue
+                    c = _open(base, full)
+                    for j in bits(c[0] | c[1]):
+                        q = _insert(masks, base, j, side if c[side - 1] >> j & 1 else 3 - side)
+                        if _ceiling(q, full) > _size(best):
+                            q = _maximalize(masks, full, q)
+                            if _size(q) > _size(best):
+                                best = q
             if best is not current:
                 current = best
                 break

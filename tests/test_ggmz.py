@@ -219,7 +219,8 @@ def test_one_two_exchange_matches_set_reference():
 def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
     # a fake clock advancing one tick per reading from 0: with deadline k
     # the exchange loop reads 0, 1, ... and exchanges only below k, so at
-    # most k times
+    # most k times; each scan also reads it before each member, so the
+    # deadline bound exactly when a reading reached k
     clock = [-1]
     seen = []
     exchange = GZ._exchange
@@ -248,9 +249,34 @@ def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
                 assert not masks[u] & stable  # stable
             for v in range(h.n):
                 assert stable >> v & 1 or masks[v] & stable  # maximal
-            if len(seen) < k:  # the deadline did not bind
+            if clock[0] < k:  # the deadline did not bind
                 assert set(G.bits(stable)) == free_run
         assert len(seen) > 1, "no exchange ran"
+
+
+def test_exchange_scan_stops_part_way_at_the_deadline(monkeypatch):
+    # the only (1,2)-exchange drops the last member, 31, the middle of the
+    # negative path 30-31-32, behind the 12 members of six negative 5-cycles
+    # that no exchange improves; a scan reads the clock before each member,
+    # so with deadline k <= 12 it reads 0, ..., k and stops before 31
+    clock = fake_clock(monkeypatch)
+    cycles = [(5 * c + i, 5 * c + (i + 1) % 5, "-") for c in range(6) for i in range(5)]
+    h = G.build(33, cycles + [(30, 31, "-"), (31, 32, "-")])
+    masks, full = mask_adjacency(h), (1 << h.n) - 1
+    stable = sum(1 << 5 * c | 1 << 5 * c + 2 for c in range(6)) | 1 << 31
+    exchanged = stable & ~(1 << 31) | 1 << 30 | 1 << 32
+    clock[0] = -1
+    assert GZ._exchange(masks, full, stable, math.inf) == exchanged
+    assert clock[0] == 12  # one reading per member
+    for k in range(13):
+        clock[0] = -1
+        assert GZ._exchange(masks, full, stable, k) is None
+        assert clock[0] == k
+    # the exchange loop reads 0, the scan 1, ..., 5: it returns the set it
+    # was given, which is maximal, where the free run exchanges
+    clock[0] = -1
+    assert GZ._one_two_exchange(masks, h.n, stable, 5) == stable and clock[0] == 5
+    assert GZ._one_two_exchange(masks, h.n, stable, math.inf) == exchanged
 
 
 def fake_clock(monkeypatch):

@@ -1,6 +1,7 @@
 import importlib
 import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import given, settings
@@ -177,10 +178,23 @@ def _reference_graphs():
         yield I.generate(I.RandomSpec(n, d, seed=seed, parallel_frac=0.2 + 0.1 * (seed % 5)))
 
 
+def _larger_reference_graphs():
+    # n = 25-40: sparse group 1, only parallel pairs, no negative edge (the
+    # graph is balanced), and group 2 with some parallel pairs
+    for seed in range(6):
+        n = 25 + 3 * seed
+        yield I.generate(I.RandomSpec(n, 0.1, seed=seed, neg_ratio=1.0))
+        yield I.generate(I.RandomSpec(n, 0.15, seed=seed, parallel_frac=1.0))
+        yield I.generate(I.RandomSpec(n, 0.3, seed=seed, neg_ratio=0.0))
+        yield I.generate(I.RandomSpec(n, 0.3, seed=seed, parallel_frac=0.3))
+
+
 def test_construct_and_local_search_match_set_reference():
     graphs = list(_reference_graphs())
     assert len(graphs) == 40 and sum(bool(g.e_parallel) for g in graphs) >= 15
-    for seed, g in enumerate(graphs):
+    larger = list(_larger_reference_graphs())
+    assert max(g.n for g in larger) == 40
+    for seed, g in enumerate(graphs + larger):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         for _ in range(2):
             p = GR.construct(g, got_rng)
@@ -190,6 +204,31 @@ def test_construct_and_local_search_match_set_reference():
         # a non-maximal start exercises the initial maximalization
         start = G.Bipartition(frozenset(sorted(p.v1)[::2]), p.v2)
         assert GR.local_search(g, start) == _local_search_reference(g, start)
+
+
+def test_local_search_skips_completions_that_cannot_beat_the_best(monkeypatch):
+    # without the skip every (removed set, first insertion) pair costs one
+    # re-maximalization; count both, the result staying the reference's
+    counts = {"pairs": 0, "maximalize": 0}
+    bases, maximalize = GR._bases, GR._maximalize
+
+    def counting_bases(masks, full, state, side, k):
+        for base in bases(masks, full, state, side, k):
+            c1, c2 = GR._open(base, full)
+            counts["pairs"] += (c1 | c2).bit_count()
+            yield base
+
+    def counting_maximalize(*args):
+        counts["maximalize"] += 1
+        return maximalize(*args)
+
+    monkeypatch.setattr(GR, "_bases", counting_bases)
+    monkeypatch.setattr(GR, "_maximalize", counting_maximalize)
+    for seed, g in enumerate(_larger_reference_graphs()):
+        p = GR.construct(g, random.Random(seed))
+        counts.update(pairs=0, maximalize=-1)  # not the start's maximalization
+        assert GR.local_search(g, p) == _local_search_reference(g, p)
+        assert counts["pairs"] > 0 and counts["maximalize"] < counts["pairs"] / 2, counts
 
 
 @st.composite
@@ -221,6 +260,21 @@ def test_candidates_are_the_feasible_insertions(gp, side):
     assert GR.candidates(g, p, side) == _candidates_reference(g, p, side)
 
 
+@settings(max_examples=200, deadline=None)
+@given(feasible_solutions())
+def test_bases_equal_states_rebuilt_without_each_removed_set(gp):
+    g, p = gp
+    masks, full = g.sign_masks, (1 << g.n) - 1
+    state = GR._state(masks, p.v1, p.v2)
+    for side in (1, 2):
+        for k in (1, 2):
+            want = []
+            for removed in combinations(G.bits(state[side - 1]), k):
+                drop = sum(1 << i for i in removed)
+                want.append(GR._state(masks, G.bits(state[0] & ~drop), G.bits(state[1] & ~drop)))
+            assert list(GR._bases(masks, full, state, side, k)) == want
+
+
 @pytest.mark.parametrize(
     "params",
     [{"time_limit_seconds": float("nan")}, {"time_limit_seconds": 0.0}, {"max_iterations": 0}],
@@ -245,21 +299,23 @@ def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():
 def test_local_search_stops_at_the_deadline(monkeypatch):
     # a fake clock advancing one tick per reading from 0: with deadline k the
     # search reads 0, 1, ... before each removed set and scans only below k,
-    # so at most k sets
+    # so at most k sets; the spy records the reading once the search has
+    # scanned or skipped a set and asks for the next one
     clock = [-1]
     seen = []
-    neighbors = GR._neighbors_removing
+    bases = GR._bases
 
     def monotonic():
         clock[0] += 1
         return clock[0]
 
     def recording(*args):
-        seen.append(clock[0])
-        return neighbors(*args)
+        for base in bases(*args):
+            yield base
+            seen.append(clock[0])
 
     monkeypatch.setattr(GR.time, "monotonic", monotonic)
-    monkeypatch.setattr(GR, "_neighbors_removing", recording)
+    monkeypatch.setattr(GR, "_bases", recording)
     bound = 0
     for seed in range(4):
         g = I.generate(I.RandomSpec(14, 0.4, seed=seed, parallel_frac=0.3))
