@@ -112,7 +112,7 @@ def _bases(masks, full, state, side, k):
     # the members' bars, then the other side's, which every suffix keeps
     bars = [bar(i, side) for i in members] + [bar(i, 3 - side) for i in bits(state[2 - side])]
     pre = [*accumulate(bars, or_, initial=0)]  # pre[a]: the OR of bars[:a]
-    suf = [*accumulate(reversed(bars), or_, initial=0)][::-1]  # suf[a]: of bars[a:]
+    suf = [*accumulate(reversed(bars), or_, initial=0)][::-1]  # suf[a]: the OR of bars[a:]
     for a, i in enumerate(members):
         if k == 1:
             yield without(1 << i, pre[a] | suf[a + 1])
