@@ -72,9 +72,10 @@ def _exchange(adj, full, stable, deadline):
 
 def _one_two_exchange(adj, n, stable, deadline):
     """Improve by removing one member and adding two non-adjacent outsiders,
-    until no exchange is left or the deadline (time.monotonic) passes."""
+    until no exchange is left or the deadline (time.monotonic), read by
+    _exchange before each member, passes."""
     full = (1 << n) - 1
-    while time.monotonic() < deadline and (better := _exchange(adj, full, stable, deadline)) is not None:
+    while (better := _exchange(adj, full, stable, deadline)) is not None:
         stable = better
     # maximalize: the exchange may leave room for more vertices
     for v in bits(full & ~stable):

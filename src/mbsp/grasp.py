@@ -123,12 +123,6 @@ def _bases(masks, full, state, side, k):
             mid |= bars[b]
 
 
-def _ceiling(state, full):
-    """A bound on the size of state completed: insertions shrink the open sets."""
-    c1, c2 = _open(state, full)
-    return _size(state) + (c1 | c2).bit_count()
-
-
 def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
     """Two-neighborhood local search: neighborhood (i) drops one vertex of a
     side, (ii) a pair; each then inserts one candidate and re-maximalizes.
@@ -136,8 +130,9 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
     fully before (ii), and the search halts at a local optimum or at the
     deadline, which is checked before each removed set.  Each removed set's
     state comes from _bases, and since only a strictly larger neighbor
-    replaces the best, a removed set or first insertion whose _ceiling is
-    no larger than the best is skipped."""
+    replaces the best, a removed set or first insertion is skipped when its
+    size plus its open vertices, a bound on any completion since insertions
+    only shrink the open sets, is no larger than the best's size."""
     if not is_feasible(g, p):
         raise GraphError("local_search requires a feasible solution")
     masks, full = g.sign_masks, (1 << g.n) - 1
@@ -149,12 +144,13 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
                 for base in _bases(masks, full, current, side, k):
                     if deadline is not None and time.monotonic() >= deadline:
                         return _bipartition(best)
-                    if _ceiling(base, full) <= _size(best):
-                        continue
                     c = _open(base, full)
+                    if _size(base) + (c[0] | c[1]).bit_count() <= _size(best):
+                        continue
                     for j in bits(c[0] | c[1]):
                         q = _insert(masks, base, j, side if c[side - 1] >> j & 1 else 3 - side)
-                        if _ceiling(q, full) > _size(best):
+                        cq = _open(q, full)
+                        if _size(q) + (cq[0] | cq[1]).bit_count() > _size(best):
                             q = _maximalize(masks, full, q)
                             if _size(q) > _size(best):
                                 best = q

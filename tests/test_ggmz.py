@@ -217,23 +217,20 @@ def test_one_two_exchange_matches_set_reference():
 
 
 def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
-    # a fake clock advancing one tick per reading from 0: with deadline k
-    # the exchange loop reads 0, 1, ... and exchanges only below k, so at
-    # most k times; each scan also reads it before each member, so the
-    # deadline bound exactly when a reading reached k
-    clock = [-1]
-    seen = []
+    # a fake clock advancing one tick per reading from 0: each scan reads it
+    # before each member and exchanges only below the deadline k, so at most
+    # k times; the free run reads 0, ..., last, so the deadline binds exactly
+    # when k <= last, and then the reading k is the last one
+    clock = fake_clock(monkeypatch)
+    made = []  # the last reading of each scan that made an exchange
     exchange = GZ._exchange
 
-    def monotonic():
-        clock[0] += 1
-        return clock[0]
-
     def recording(*args):
-        seen.append(clock[0])
-        return exchange(*args)
+        better = exchange(*args)
+        if better is not None:
+            made.append(clock[0])
+        return better
 
-    monkeypatch.setattr(GZ.time, "monotonic", monotonic)
     monkeypatch.setattr(GZ, "_exchange", recording)
     for seed in range(4):
         h = G.negative_part(I.generate(I.RandomSpec(24, 0.3, seed=seed, neg_ratio=1.0)))
@@ -241,17 +238,24 @@ def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
         greedy = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
         start = sum(1 << v for v in G.bits(greedy)[::2])
         free_run = _one_two_exchange_reference([set(nbrs) for nbrs in h.signs], h.n, set(G.bits(start)))
-        for k in range(12):
-            clock[0], seen[:] = -1, []
+        clock[0], made[:] = -1, []
+        assert set(G.bits(GZ._one_two_exchange(masks, h.n, start, math.inf))) == free_run
+        last = clock[0]
+        assert len(made) > 1, "no exchange ran"
+        unbound = 0
+        for k in range(last + 3):
+            clock[0], made[:] = -1, []
             stable = GZ._one_two_exchange(masks, h.n, start, k)
-            assert len(seen) <= k and all(t < k for t in seen)
+            assert len(made) <= k and all(t < k for t in made)
+            assert clock[0] == min(k, last)  # no reading after the one that reached k
             for u in G.bits(stable):
                 assert not masks[u] & stable  # stable
             for v in range(h.n):
                 assert stable >> v & 1 or masks[v] & stable  # maximal
-            if clock[0] < k:  # the deadline did not bind
+            if k > last:  # the deadline did not bind
                 assert set(G.bits(stable)) == free_run
-        assert len(seen) > 1, "no exchange ran"
+                unbound += 1
+        assert unbound == 2
 
 
 def test_exchange_scan_stops_part_way_at_the_deadline(monkeypatch):
@@ -272,8 +276,8 @@ def test_exchange_scan_stops_part_way_at_the_deadline(monkeypatch):
         clock[0] = -1
         assert GZ._exchange(masks, full, stable, k) is None
         assert clock[0] == k
-    # the exchange loop reads 0, the scan 1, ..., 5: it returns the set it
-    # was given, which is maximal, where the free run exchanges
+    # the first scan reads 0, ..., 5 and stops: the exchange returns the set
+    # it was given, which is maximal, where the free run exchanges
     clock[0] = -1
     assert GZ._one_two_exchange(masks, h.n, stable, 5) == stable and clock[0] == 5
     assert GZ._one_two_exchange(masks, h.n, stable, math.inf) == exchanged
