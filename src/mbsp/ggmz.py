@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import math
+import operator
 import random
 import time
 from dataclasses import dataclass
 
-from .graph import Bipartition, SignedGraph, UnionFind, bits, is_balanced, negative_part, switch
+from .graph import Bipartition, SignedGraph, UnionFind, bits, is_balanced
+from .graph import switch  # noqa: F401  (bench/test_bench.py reads mbsp.ggmz.switch)
 from .spanning import TreeStrategy, spanning_forest
 
 RCL_ALPHA = 0.3  # RCL width of the degree-greedy construction
@@ -109,11 +111,12 @@ def _stable_set_bound(adj, n, lower=0, deadline=math.inf):
     The rest is searched by branch and bound for a stable set larger than
     lower, the size of a known stable set: a maximum-clique search on the
     complement (MCQ, Tomita and Seki 2003) over bitmasks (BBMC, San Segundo
-    et al. 2011).  Each node covers its candidates by _clique_classes, and
-    since a stable set meets a clique at most once, a candidate of the k-th
-    clique can extend the set by at most k.  After ALPHA_SEARCH_NODES nodes
-    or at the deadline (time.monotonic) the search stops and the bound is
-    the peeled count plus the number of cliques covering the rest."""
+    et al. 2011), with the rest relabelled by ascending degree, MCQ's order.
+    Each node covers its candidates by _clique_classes, and since a stable
+    set meets a clique at most once, a candidate of the k-th clique can
+    extend the set by at most k.  After ALPHA_SEARCH_NODES nodes or at the
+    deadline (time.monotonic) the search stops and the bound is the peeled
+    count plus the number of cliques covering the rest in index order."""
     alive = (1 << n) - 1
     peeled = 0
     taken = True
@@ -124,12 +127,21 @@ def _stable_set_bound(adj, n, lower=0, deadline=math.inf):
                 alive &= ~(adj[v] | 1 << v)
                 peeled += 1
                 taken = True
-    classes = _clique_classes(adj, alive)
+    if not alive:
+        return peeled
+    # relabel the rest: its i-th vertex by ascending degree (ties by index)
+    # becomes bit i of the search's masks sub_adj, whose binary digits are
+    # picked from those of adj
+    order = sorted(bits(alive), key=lambda v: (adj[v] & alive).bit_count())
+    digits = operator.itemgetter(*[n - 1 - v for v in reversed(order)])
+    sub_adj = [int("".join(digits(f"{adj[v]:0{n}b}")), 2) for v in order]
+    rest = (1 << len(order)) - 1
+    classes = _clique_classes(sub_adj, rest)
     best = max(lower - peeled, 0)
     # a frame is [set size, candidates, cliques not yet branched on, what is
     # left of the clique being branched on]; the last clique goes first, and
     # each vertex branched on leaves the candidates of its later siblings
-    stack = [[0, alive, classes[:], 0]]
+    stack = [[0, rest, classes[:], 0]]
     nodes = 0
     while stack and best < len(classes):
         frame = stack[-1]
@@ -140,37 +152,40 @@ def _stable_set_bound(adj, n, lower=0, deadline=math.inf):
             stack.pop()  # no candidate left can beat best
             continue
         if nodes == ALPHA_SEARCH_NODES or time.monotonic() >= deadline:
-            return peeled + len(classes)
+            return peeled + len(_clique_classes(adj, alive))
         nodes += 1
         v = left & -left
         frame[1] = cand = cand ^ v
         frame[3] = left ^ v
-        sub = cand & ~adj[v.bit_length() - 1]
+        sub = cand & ~sub_adj[v.bit_length() - 1]
         if sub:
-            stack.append([size + 1, sub, _clique_classes(adj, sub), 0])
+            stack.append([size + 1, sub, _clique_classes(sub_adj, sub), 0])
         else:
             best = max(best, size + 1)
     return peeled + best
 
 
-def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
-    """Maximal stable set of h (signs ignored) via randomized construction
-    plus (1,2)-exchange local search; best kept over iterations.
+def stable_set_grasp(adj, params: StableSetParams, deadline=None) -> set:
+    """Maximal stable set of the graph with neighbour bitmasks adj via
+    randomized construction plus (1,2)-exchange local search; best kept over
+    iterations, until the deadline (time.monotonic; by default the time
+    limit from entry).
 
     After the first construction, _stable_set_bound searches for the
     stability number α, pruning against that construction's size.  The
     iterations stop once the best set reaches α when the search proves it,
     and otherwise the peeling plus clique-cover bound it falls back to;
     since best <= α <= bound, the bound only ends the iterations earlier."""
-    adj = [plus | minus for plus, minus in h.sign_masks]
+    n = len(adj)
     rng = random.Random(params.seed)
-    deadline = time.monotonic() + params.time_limit_seconds
+    if deadline is None:
+        deadline = time.monotonic() + params.time_limit_seconds
 
     def construct():
-        return _one_two_exchange(adj, h.n, _greedy_stable_set(adj, h.n, rng, deadline), deadline)
+        return _one_two_exchange(adj, n, _greedy_stable_set(adj, n, rng, deadline), deadline)
 
     best = construct()
-    bound = _stable_set_bound(adj, h.n, best.bit_count(), deadline)
+    bound = _stable_set_bound(adj, n, best.bit_count(), deadline)
     stall = 0
     while best.bit_count() < bound and stall < MAX_STALL_ITERATIONS and time.monotonic() < deadline:
         cand = construct()
@@ -182,9 +197,22 @@ def stable_set_grasp(h: SignedGraph, params: StableSetParams) -> set:
     return set(bits(best))
 
 
+def switched_negative_masks(g: SignedGraph, w) -> list:
+    """Neighbour bitmasks of negative_part(switch(g, w)), read from
+    g.sign_masks: switching at w flips the sign of each edge with exactly
+    one endpoint in w, and a parallel pair stays negative."""
+    inside = sum(1 << v for v in w)
+    outside = (1 << g.n) - 1 ^ inside
+    return [
+        minus & inside | plus & outside if inside >> u & 1 else minus & outside | plus & inside
+        for u, (plus, minus) in enumerate(g.sign_masks)
+    ]
+
+
 def ggmz(g: SignedGraph, strategy: TreeStrategy, params: StableSetParams = None) -> Bipartition:
     """Greedy heuristic: spanning forest, switch to kill its negative edges,
-    then a maximal stable set of the remaining negative part.
+    then a maximal stable set of the remaining negative part.  The time
+    limit counts from entry, so the forest and the switch set spend it too.
 
     The stable set I splits into (I minus W, I intersect W): after switching
     at W the graph restricted to I has only positive edges, so positive edges
@@ -192,9 +220,9 @@ def ggmz(g: SignedGraph, strategy: TreeStrategy, params: StableSetParams = None)
     """
     if params is None:
         params = StableSetParams()
+    deadline = time.monotonic() + params.time_limit_seconds
     rng = random.Random(params.seed)
     t = spanning_forest(g, strategy, rng)
     w = switch_set_from_forest(t)
-    h = negative_part(switch(g, w))
-    stable = stable_set_grasp(h, params)
+    stable = stable_set_grasp(switched_negative_masks(g, w), params, deadline)
     return Bipartition(frozenset(stable - w), frozenset(stable & w))

@@ -3,9 +3,8 @@
 from __future__ import annotations
 
 import enum
-from collections import deque
 
-from .graph import NEG, POS, SignedGraph, UnionFind
+from .graph import NEG, POS, SignedGraph, UnionFind, bits
 
 
 class TreeStrategy(enum.Enum):
@@ -34,75 +33,86 @@ _FIXED_COSTS = {
 }
 
 
-def edge_cost(g: SignedGraph, e, strategy: TreeStrategy, rng) -> int:
-    """Cost of signed edge e = (u, v, sign) under a Kruskal strategy."""
+def _edge_costs(g: SignedGraph, edges, strategy: TreeStrategy, rng) -> list:
+    """Costs of the signed edges (u, v, sign) of g under a Kruskal strategy,
+    in one pass; KRUSKAL_RANDOM draws one rng.randint(0, 1000) per edge, in
+    order."""
     if strategy not in KRUSKAL_STRATEGIES:
         raise ValueError(f"{strategy} has no edge costs")
     if strategy is TreeStrategy.KRUSKAL_RANDOM:
-        return rng.randint(0, 1000)
+        return [rng.randint(0, 1000) for _ in edges]
     if strategy is TreeStrategy.KRUSKAL_ADAPTIVE:
         n_minus = len(g.e_minus)
         n_plus = len(g.e_plus)
         ratio_below_one = n_plus > 0 and n_minus / n_plus < 1
         strategy = TreeStrategy.KRUSKAL_F1 if ratio_below_one else TreeStrategy.KRUSKAL_F2
     cost_pos, cost_neg, cost_par = _FIXED_COSTS[strategy]
-    u, v, _ = e
-    pair = (u, v) if u < v else (v, u)
-    if pair in g.e_parallel:
-        return cost_par
-    return cost_pos if e[2] == POS else cost_neg
+    parallel = [plus & minus for plus, minus in g.sign_masks]
+    return [
+        cost_par if parallel[u] >> v & 1 else cost_pos if s == POS else cost_neg
+        for u, v, s in edges
+    ]
+
+
+def edge_cost(g: SignedGraph, e, strategy: TreeStrategy, rng) -> int:
+    """Cost of signed edge e = (u, v, sign) under a Kruskal strategy."""
+    return _edge_costs(g, (e,), strategy, rng)[0]
 
 
 def spanning_forest(g: SignedGraph, strategy: TreeStrategy, rng=None) -> SignedGraph:
     """Spanning forest of g (one tree per component), same vertex set.
 
     Kruskal variants build a minimum-cost forest under edge_cost with ties
-    broken by edge input order.  BFS/DFS start at the lowest-index unvisited
-    vertex and visit neighbors in index order; for a parallel pair the
-    positive copy is taken into the tree.
+    broken by edge input order, and stop at n - 1 edges.  BFS/DFS walk the
+    neighbour bitmasks of g.sign_masks: each starts at the lowest-index
+    unvisited vertex and visits neighbors in index order; for a parallel
+    pair the positive copy is taken into the tree.
     """
     if strategy in KRUSKAL_STRATEGIES:
-        costed = [(edge_cost(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
-        costed.sort(key=lambda t: (t[0], t[1]))
+        edges = g.edges
+        costs = _edge_costs(g, edges, strategy, rng)
         components = UnionFind(g.n)
-        forest = [e for _, _, e in costed if components.union(e[0], e[1])]
+        forest = []
+        for i in sorted(range(len(edges)), key=costs.__getitem__):  # stable: ties by index
+            if len(forest) == g.n - 1:
+                break
+            e = edges[i]
+            if components.union(e[0], e[1]):
+                forest.append(e)
         return SignedGraph(g.n, tuple(sorted(forest)))
     return _search_forest(g, depth_first=strategy is TreeStrategy.DFS)
 
 
 def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
-    neighbors = [sorted(d) for d in g.signs]
-
-    visited = [False] * g.n
+    masks = g.sign_masks
+    neighbors = [plus | minus for plus, minus in masks]
+    unvisited = (1 << g.n) - 1
     forest = []
 
-    def take(parent, v):
-        visited[v] = True
-        if parent is not None:
-            # the positive copy of a parallel pair goes into the tree
-            sign = POS if POS in g.signs[parent][v] else NEG
-            forest.append((min(parent, v), max(parent, v), sign))
+    def edge(parent, v):
+        # the positive copy of a parallel pair goes into the tree
+        sign = POS if masks[parent][0] >> v & 1 else NEG
+        return (parent, v, sign) if parent < v else (v, parent, sign)
 
-    for root in range(g.n):
-        if visited[root]:
-            continue
+    while unvisited:
+        root = (unvisited & -unvisited).bit_length() - 1
         if depth_first:
             stack = [(None, root)]
             while stack:
                 parent, v = stack.pop()
-                if visited[v]:
+                if not unvisited >> v & 1:
                     continue
-                take(parent, v)
-                for w in reversed(neighbors[v]):
-                    if not visited[w]:
-                        stack.append((v, w))
+                unvisited ^= 1 << v
+                if parent is not None:
+                    forest.append(edge(parent, v))
+                stack.extend((v, w) for w in reversed(bits(neighbors[v] & unvisited)))
         else:
-            take(None, root)
-            queue = deque([root])
-            while queue:
-                u = queue.popleft()
-                for v in neighbors[u]:
-                    if not visited[v]:
-                        take(u, v)
-                        queue.append(v)
+            unvisited ^= 1 << root
+            queue = [root]
+            for u in queue:  # grows as it is read
+                fresh = neighbors[u] & unvisited
+                unvisited ^= fresh
+                for v in bits(fresh):
+                    forest.append(edge(u, v))
+                    queue.append(v)
     return SignedGraph(g.n, tuple(sorted(forest)))

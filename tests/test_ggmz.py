@@ -84,7 +84,7 @@ def test_stable_set_grasp_is_stable_and_maximal():
     for seed in range(5):
         g = I.generate(I.RandomSpec(12, 0.5, seed=seed, neg_ratio=1.0))
         h = G.negative_part(g)
-        s = GZ.stable_set_grasp(h, GZ.StableSetParams(seed=seed))
+        s = GZ.stable_set_grasp(mask_adjacency(h), GZ.StableSetParams(seed=seed))
         pairs = {(u, v) for u, v, _ in h.edges}
         for u, v in itertools.combinations(sorted(s), 2):
             assert (u, v) not in pairs
@@ -107,7 +107,7 @@ def test_stable_set_grasp_finds_optimum_on_small_graphs():
             adj[u].add(v)
             adj[v].add(u)
         opt = max_stable_set_size(adj, h.n)
-        got = len(GZ.stable_set_grasp(h, GZ.StableSetParams(seed=seed)))
+        got = len(GZ.stable_set_grasp(mask_adjacency(h), GZ.StableSetParams(seed=seed)))
         assert got == opt
 
 
@@ -321,7 +321,7 @@ def test_stable_set_grasp_is_maximal_when_the_deadline_cuts_the_construction(mon
     h = negative_five_cycles(40)
     adj = mask_adjacency(h)
     for limit in (1, 2, 5, 20):
-        s = GZ.stable_set_grasp(h, GZ.StableSetParams(time_limit_seconds=limit, seed=limit))
+        s = GZ.stable_set_grasp(adj, GZ.StableSetParams(time_limit_seconds=limit, seed=limit))
         mask = sum(1 << v for v in s)
         for v in range(h.n):
             assert not (v in s and adj[v] & mask)  # stable
@@ -358,7 +358,7 @@ def test_stable_set_grasp_stops_at_the_bound_on_a_forest(monkeypatch):
     monkeypatch.setattr(GZ, "_greedy_stable_set", lambda *a: calls.append(a) or greedy(*a))
     for seed in range(5):
         calls.clear()
-        GZ.stable_set_grasp(random_forest(40, seed), GZ.StableSetParams(seed=seed))
+        GZ.stable_set_grasp(mask_adjacency(random_forest(40, seed)), GZ.StableSetParams(seed=seed))
         assert len(calls) == 1
 
 
@@ -390,7 +390,7 @@ def test_stable_set_grasp_matches_the_loop_without_the_bound():
             ):
                 h = G.negative_part(I.generate(spec))
                 params = GZ.StableSetParams(seed=seed)
-                got = GZ.stable_set_grasp(h, params)
+                got = GZ.stable_set_grasp(mask_adjacency(h), params)
                 assert got == _stable_set_grasp_reference(h, params)
                 stops.add(len(got) == GZ._stable_set_bound(mask_adjacency(h), h.n))
     assert stops == {True, False}  # both the bound's stop and the stall stop ran
@@ -470,7 +470,7 @@ def test_stable_set_grasp_on_many_disjoint_five_cycles():
     h = negative_five_cycles(700)
     adj = mask_adjacency(h)
     assert _peel_and_cover_reference(adj, h.n) == 2100
-    s = GZ.stable_set_grasp(h, GZ.StableSetParams(time_limit_seconds=2, seed=1))
+    s = GZ.stable_set_grasp(adj, GZ.StableSetParams(time_limit_seconds=2, seed=1))
     mask = sum(1 << v for v in s)
     for v in range(h.n):
         assert not (v in s and adj[v] & mask)  # stable
@@ -520,3 +520,71 @@ def test_stable_set_bound_stops_at_the_deadline(monkeypatch):
             else:
                 assert got == alpha
     assert stops > 60
+
+
+def _ggmz_reference(g, strategy, params):
+    """GGMZ through the switched graph: switch(g, W), its negative part, and
+    the stable set of that part's neighbour bitmasks."""
+    t = SP.spanning_forest(g, strategy, random.Random(params.seed))
+    w = GZ.switch_set_from_forest(t)
+    stable = GZ.stable_set_grasp(mask_adjacency(G.negative_part(G.switch(g, w))), params)
+    return G.Bipartition(frozenset(stable - w), frozenset(stable & w))
+
+
+def test_switched_negative_masks_match_the_switched_graph():
+    for seed in range(10):
+        for spec in (
+            I.RandomSpec(20 + seed, 0.1 + 0.08 * seed, seed=seed, neg_ratio=0.5 + seed % 3),
+            I.RandomSpec(20 + seed, 0.1 + 0.08 * seed, seed=seed, parallel_frac=0.25 + 0.25 * (seed % 3)),
+        ):
+            g = I.generate(spec)
+            rng = random.Random(seed)
+            for w in (
+                frozenset(),
+                frozenset(range(g.n)),
+                frozenset(v for v in range(g.n) if rng.random() < 0.5),
+                GZ.switch_set_from_forest(SP.spanning_forest(g, SP.TreeStrategy.BFS)),
+            ):
+                want = mask_adjacency(G.negative_part(G.switch(g, w)))
+                assert GZ.switched_negative_masks(g, w) == want
+
+
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_ggmz_matches_the_switched_graph_pipeline(strategy):
+    for seed in range(4):
+        for spec in (
+            I.RandomSpec(30, 0.2 + 0.1 * seed, seed=seed, neg_ratio=0.5 + seed % 3),
+            I.RandomSpec(30, 0.2 + 0.1 * seed, seed=seed, parallel_frac=0.25 + 0.25 * (seed % 3)),
+        ):
+            g = I.generate(spec)
+            params = GZ.StableSetParams(seed=seed)
+            assert GZ.ggmz(g, strategy, params) == _ggmz_reference(g, strategy, params)
+
+
+def test_ggmz_deadline_counts_from_entry(monkeypatch):
+    # the fake clock reads 0 when ggmz is entered, so the deadline is the
+    # limit; a forest that takes a million ticks passes it before the GRASP
+    # starts, whose construction then picks nothing and whose exchange step
+    # makes the empty set maximal in ascending order
+    clock = fake_clock(monkeypatch)
+    forest = GZ.spanning_forest
+
+    def slow_forest(*args):
+        clock[0] += 10**6
+        return forest(*args)
+
+    monkeypatch.setattr(GZ, "spanning_forest", slow_forest)
+    for seed in range(3):
+        g = I.generate(I.RandomSpec(30, 0.3, seed=seed, parallel_frac=0.5))
+        for strategy in ALL_STRATEGIES:
+            clock[0] = -1
+            p = GZ.ggmz(g, strategy, GZ.StableSetParams(time_limit_seconds=1000, seed=seed))
+            assert G.is_feasible(g, p)
+            w = GZ.switch_set_from_forest(forest(g, strategy, random.Random(seed)))
+            adj = mask_adjacency(G.negative_part(G.switch(g, w)))
+            lowest_first = 0
+            for v in range(g.n):
+                if not adj[v] & lowest_first:
+                    lowest_first |= 1 << v
+            assert p.selected == set(G.bits(lowest_first))  # stable and maximal
+            assert (p.v1, p.v2) == (p.selected - w, p.selected & w)

@@ -128,3 +128,77 @@ def test_from_token():
     assert SP.TreeStrategy("adaptive") is SP.TreeStrategy.KRUSKAL_ADAPTIVE
     with pytest.raises(ValueError):
         SP.TreeStrategy("nope")
+
+
+def _spanning_forest_reference(g, strategy, rng=None):
+    """spanning_forest before it ran on bitmasks: edge_cost called per edge,
+    a union-find over every edge in (cost, index) order, and BFS/DFS over
+    sorted adjacency lists."""
+    if strategy in SP.KRUSKAL_STRATEGIES:
+        costed = [(SP.edge_cost(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
+        costed.sort(key=lambda t: (t[0], t[1]))
+        parent = list(range(g.n))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        forest = []
+        for _, _, e in costed:
+            ru, rv = find(e[0]), find(e[1])
+            if ru != rv:
+                parent[rv] = ru
+                forest.append(e)
+        return G.SignedGraph(g.n, tuple(sorted(forest)))
+    neighbors = [sorted(d) for d in g.signs]
+    visited = [False] * g.n
+    forest = []
+
+    def take(parent, v):
+        visited[v] = True
+        if parent is not None:
+            sign = "+" if "+" in g.signs[parent][v] else "-"
+            forest.append((min(parent, v), max(parent, v), sign))
+
+    for root in range(g.n):
+        if visited[root]:
+            continue
+        if strategy is SP.TreeStrategy.DFS:
+            stack = [(None, root)]
+            while stack:
+                parent, v = stack.pop()
+                if visited[v]:
+                    continue
+                take(parent, v)
+                stack.extend((v, w) for w in reversed(neighbors[v]) if not visited[w])
+        else:
+            take(None, root)
+            queue = [root]
+            for u in queue:
+                for v in neighbors[u]:
+                    if not visited[v]:
+                        take(u, v)
+                        queue.append(v)
+    return G.SignedGraph(g.n, tuple(sorted(forest)))
+
+
+@pytest.mark.parametrize("strategy", list(SP.TreeStrategy))
+def test_spanning_forest_matches_the_reference(strategy):
+    # connected and disconnected graphs of both groups, the sparsest ones
+    # with isolated vertices; the random costs leave the rng where the
+    # reference's per-edge draws leave it
+    disconnected = 0
+    for seed in range(6):
+        for n, d in ((30, 0.03), (30, 0.08), (40, 0.3), (60, 0.5)):
+            for spec in (
+                I.RandomSpec(n, d, seed=seed, neg_ratio=0.5 + seed % 3),
+                I.RandomSpec(n, d, seed=seed, parallel_frac=0.25 + 0.25 * (seed % 3)),
+            ):
+                g = I.generate(spec)
+                rng, ref_rng = random.Random(seed), random.Random(seed)
+                t = SP.spanning_forest(g, strategy, rng)
+                assert t == _spanning_forest_reference(g, strategy, ref_rng)
+                assert rng.getstate() == ref_rng.getstate()
+                disconnected += t.m < g.n - 1
+    assert disconnected >= 12
