@@ -42,10 +42,10 @@ def _edge_costs(g: SignedGraph, edges, strategy: TreeStrategy, rng) -> list:
     if strategy is TreeStrategy.KRUSKAL_RANDOM:
         return [rng.randint(0, 1000) for _ in edges]
     if strategy is TreeStrategy.KRUSKAL_ADAPTIVE:
-        n_minus = len(g.e_minus)
-        n_plus = len(g.e_plus)
-        ratio_below_one = n_plus > 0 and n_minus / n_plus < 1
-        strategy = TreeStrategy.KRUSKAL_F1 if ratio_below_one else TreeStrategy.KRUSKAL_F2
+        # f1 when |E-| / |E+| < 1, counted twice over from the bitmasks
+        n_plus = sum(plus.bit_count() for plus, _ in g.sign_masks)
+        n_minus = sum(minus.bit_count() for _, minus in g.sign_masks)
+        strategy = TreeStrategy.KRUSKAL_F1 if n_minus < n_plus else TreeStrategy.KRUSKAL_F2
     cost_pos, cost_neg, cost_par = _FIXED_COSTS[strategy]
     parallel = [plus & minus for plus, minus in g.sign_masks]
     return [
@@ -96,18 +96,22 @@ def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
 
     while unvisited:
         root = (unvisited & -unvisited).bit_length() - 1
+        unvisited ^= 1 << root
         if depth_first:
-            stack = [(None, root)]
+            # the path from the root: its last vertex takes its lowest
+            # unvisited neighbour, or is left when it has none
+            stack = [root]
             while stack:
-                parent, v = stack.pop()
-                if not unvisited >> v & 1:
+                v = stack[-1]
+                fresh = neighbors[v] & unvisited
+                if not fresh:
+                    stack.pop()
                     continue
-                unvisited ^= 1 << v
-                if parent is not None:
-                    forest.append(edge(parent, v))
-                stack.extend((v, w) for w in reversed(bits(neighbors[v] & unvisited)))
+                w = (fresh & -fresh).bit_length() - 1
+                unvisited ^= 1 << w
+                forest.append(edge(v, w))
+                stack.append(w)
         else:
-            unvisited ^= 1 << root
             queue = [root]
             for u in queue:  # grows as it is read
                 fresh = neighbors[u] & unvisited

@@ -130,12 +130,27 @@ def test_from_token():
         SP.TreeStrategy("nope")
 
 
+def _edge_cost_reference(g, e, strategy, rng):
+    """edge_cost before it ran on bitmasks, from the edge-class sets."""
+    if strategy is SP.TreeStrategy.KRUSKAL_RANDOM:
+        return rng.randint(0, 1000)
+    if strategy is SP.TreeStrategy.KRUSKAL_ADAPTIVE:
+        n_minus, n_plus = len(g.e_minus), len(g.e_plus)
+        below_one = n_plus > 0 and n_minus / n_plus < 1
+        strategy = SP.TreeStrategy.KRUSKAL_F1 if below_one else SP.TreeStrategy.KRUSKAL_F2
+    cost_pos, cost_neg, cost_par = {"f1": (3, 1, 2), "f2": (1, 2, 3), "f3": (2, 1, 3)}[strategy.value]
+    u, v, sign = e
+    if (min(u, v), max(u, v)) in g.e_parallel:
+        return cost_par
+    return cost_pos if sign == "+" else cost_neg
+
+
 def _spanning_forest_reference(g, strategy, rng=None):
-    """spanning_forest before it ran on bitmasks: edge_cost called per edge,
-    a union-find over every edge in (cost, index) order, and BFS/DFS over
-    sorted adjacency lists."""
+    """spanning_forest before it ran on bitmasks: a cost per edge from the
+    edge-class sets, a union-find over every edge in (cost, index) order,
+    and BFS/DFS over sorted adjacency lists."""
     if strategy in SP.KRUSKAL_STRATEGIES:
-        costed = [(SP.edge_cost(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
+        costed = [(_edge_cost_reference(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
         costed.sort(key=lambda t: (t[0], t[1]))
         parent = list(range(g.n))
 
@@ -200,5 +215,9 @@ def test_spanning_forest_matches_the_reference(strategy):
                 t = SP.spanning_forest(g, strategy, rng)
                 assert t == _spanning_forest_reference(g, strategy, ref_rng)
                 assert rng.getstate() == ref_rng.getstate()
+                if strategy in SP.KRUSKAL_STRATEGIES:
+                    rng, ref_rng = random.Random(seed), random.Random(seed)
+                    for e in g.edges:  # edge_cost reads the forest's rule
+                        assert SP.edge_cost(g, e, strategy, rng) == _edge_cost_reference(g, e, strategy, ref_rng)
                 disconnected += t.m < g.n - 1
     assert disconnected >= 12
