@@ -4,8 +4,7 @@ separation routines, lifting, the cut pool, and the rounding heuristic."""
 from __future__ import annotations
 
 import heapq
-import itertools
-from collections import Counter, deque
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,13 +113,22 @@ def _most_violated(cuts, y, limit):
     return [c for _, c in ranked[:limit]]
 
 
-def _grow_clique(adj, clique, rank=None):
-    """Grow a clique of the graph adj to a maximal one, adding the common
-    neighbour that comes first under rank (lowest index by default)."""
-    common = set.intersection(*(adj[v] for v in clique)) - clique
+def _grow_clique(adj, members, order=None):
+    """A maximal clique, as a vertex bitmask, of the graph with neighbour
+    bitmasks adj that holds the vertices members: grown by the common
+    neighbour that comes first in order (lowest index by default), which
+    must list every vertex that can join."""
+    clique, common = 0, -1
+    for v in members:
+        clique |= 1 << v
+        common &= adj[v]
+    ranked = None if order is None else iter(order)
     while common:
-        w = min(common, key=rank)
-        clique.add(w)
+        if ranked is None:
+            w = (common & -common).bit_length() - 1
+        else:  # common only shrinks: the scan goes on where it stopped
+            w = next(v for v in ranked if common >> v & 1)
+        clique |= 1 << w
         common &= adj[w]
     return clique
 
@@ -130,18 +138,21 @@ def _grow_clique(adj, clique, rank=None):
 
 
 def _greedy_clique_cover(adj, min_size=2):
-    """Maximal cliques greedily covering every edge of the given graph."""
-    n = len(adj)
-    covered = set()
+    """Maximal cliques, as vertex bitmasks, greedily covering every edge of
+    the graph with neighbour bitmasks adj; those under min_size vertices
+    are dropped and cover nothing."""
+    covered = [0] * len(adj)  # covered[u]: the v with uv in a kept clique
     cliques = []
-    for u in range(n):
-        for v in sorted(adj[u]):
-            if u > v or (u, v) in covered:
-                continue
-            clique = _grow_clique(adj, {u, v})
-            if len(clique) >= min_size:
-                cliques.append(frozenset(clique))
-                covered.update(itertools.combinations(sorted(clique), 2))
+    for u, nbrs in enumerate(adj):
+        todo = nbrs & -(2 << u)  # the neighbours above u
+        while todo := todo & ~covered[u]:
+            low = todo & -todo
+            todo ^= low
+            clique = _grow_clique(adj, (u, low.bit_length() - 1))
+            if clique.bit_count() >= min_size:
+                cliques.append(clique)
+                for v in bits(clique):
+                    covered[v] |= clique
     return cliques
 
 
@@ -231,24 +242,27 @@ def initial_formulation(g: SignedGraph):
         cuts.setdefault(cut.key, cut)
 
     # (a) cliques covering every parallel pair
-    for clique in _greedy_clique_cover(g.conflicts, min_size=2):
-        add(Cut.make({v: 1.0 for v in clique}, 1.0, PARALLEL_EDGE if len(clique) == 2 else CLIQUE))
+    conf = [plus & minus for plus, minus in g.sign_masks]
+    for clique in _greedy_clique_cover(conf, min_size=2):
+        kind = PARALLEL_EDGE if clique.bit_count() == 2 else CLIQUE
+        add(Cut.make(dict.fromkeys(bits(clique), 1.0), 1.0, kind))
 
     # (b) one shortest odd negative closed walk per vertex, reduced to a
     # simple cycle; a cycle of length 2 is a parallel pair, which (a) covers.
     # A vertex with a parallel pair has that pair as its walk, so it is not
-    # searched.
-    # the positive arc of a parallel pair first
-    arcs = [[(v, int(s == NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in g.signs]
+    # searched.  The arcs keep edge order, which breaks the BFS's ties.
+    arcs = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        arcs[u].append((v, int(s == NEG)))
+        arcs[v].append((u, int(s == NEG)))
     for v in range(g.n):
-        walk = None if g.conflicts[v] else _shortest_odd_walk_unit(arcs, v)
+        walk = None if conf[v] else _shortest_odd_walk_unit(arcs, v)
         if walk is not None and len(cycle := _simple_odd_cycle(walk)) >= 3:
             add(_cycle_cut(_canonical_cycle(cycle)))
 
     # (c) maximal cliques of size >= 3 in the negative-edge graph
-    neg_adj = [{v for v, ss in nbrs.items() if NEG in ss} for nbrs in g.signs]
-    for clique in _greedy_clique_cover(neg_adj, min_size=3):
-        add(Cut.make({v: 1.0 for v in clique}, 2.0, NEG_CLIQUE))
+    for clique in _greedy_clique_cover([minus for _, minus in g.sign_masks], min_size=3):
+        add(Cut.make(dict.fromkeys(bits(clique), 1.0), 2.0, NEG_CLIQUE))
 
     return list(cuts.values())
 
@@ -390,29 +404,24 @@ def separate_odd_negative_cycle(g: SignedGraph, y, limit=100):
 
 
 def separate_clique(g: SignedGraph, y, limit=100):
-    """Heuristic clique separation on the parallel-pair conflict graph."""
-    conf = g.conflicts
-
-    def rank(v):
-        return (-y[v], v)
-
-    seeds = sorted((v for v in range(g.n) if conf[v]), key=rank)
-    cliques = {frozenset(_grow_clique(conf, {v}, rank)) for v in seeds}
-    cuts = (Cut.make({v: 1.0 for v in clique}, 1.0, CLIQUE) for clique in cliques)
+    """Heuristic clique separation on the parallel-pair conflict graph: from
+    each seed, the clique grown by the neighbour of highest y (then lowest
+    index)."""
+    conf = [plus & minus for plus, minus in g.sign_masks]
+    seeds = sorted((v for v in range(g.n) if conf[v]), key=lambda v: (-y[v], v))
+    cliques = {_grow_clique(conf, (v,), seeds) for v in seeds}
+    cuts = (Cut.make(dict.fromkeys(bits(clique), 1.0), 1.0, CLIQUE) for clique in cliques)
     return _most_violated(cuts, y, limit)
 
 
 def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
     """Heuristic lifted odd hole separation on the conflict graph."""
-    if not g.e_parallel:
-        return []
-    conf = g.conflicts
-    # the double-cover walk search again: every conflict edge flips parity
-    arcs = [
-        [(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])]
-        for u in range(g.n)
-    ]
+    conf = [plus & minus for plus, minus in g.sign_masks]
     vertices = [v for v in range(g.n) if conf[v]]
+    if not vertices:
+        return []
+    # the double-cover walk search again: every conflict edge flips parity
+    arcs = [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in bits(conf[u])] for u in range(g.n)]
     holes = _odd_cycles(g.n, arcs, vertices, vertices, lambda cycle: _shortcut_chords(conf, cycle))
     # the hole's cyclic order goes to lifting as an argument: a cut's
     # support_cycle is what cycle branching branches on
@@ -424,25 +433,23 @@ def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
 
 
 def _shortcut_chords(conf, cycle):
-    """Shortcut chords until the odd cycle is chordless (an odd hole)."""
+    """Shortcut chords until the odd cycle is chordless (an odd hole).
+
+    conf holds neighbour bitmasks; the chord taken is the first cycle
+    vertex's, to its lowest chord end.
+    """
     while len(cycle) > 3:
         k = len(cycle)
-        pos = {v: i for i, v in enumerate(cycle)}
-        chord = None
+        on_cycle = sum(1 << v for v in cycle)
         for i, u in enumerate(cycle):
-            for w in conf[u]:
-                j = pos.get(w)
-                if j is None:
-                    continue
-                if (j - i) % k in (1, k - 1):
-                    continue  # cycle edge, not a chord
-                chord = (min(i, j), max(i, j))
+            # u's neighbours on the cycle but for its two cycle edges
+            ends = conf[u] & on_cycle & ~(1 << cycle[i - 1] | 1 << cycle[(i + 1) % k])
+            if ends:
+                j = cycle.index((ends & -ends).bit_length() - 1)
+                i, j = min(i, j), max(i, j)
                 break
-            if chord:
-                break
-        if chord is None:
+        else:
             return cycle
-        i, j = chord
         side_a = cycle[i : j + 1]  # path i..j plus chord closes it
         side_b = cycle[j:] + cycle[: i + 1]
         cycle = side_a if len(side_a) % 2 == 1 else side_b
@@ -533,8 +540,14 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str, cycle) -> Cut:
     weight >= rhs - 1e-9) has such a z* already and is skipped unsearched,
     as the search would skip it.
     """
-    support = {v for v, _ in cut.coeffs}
-    neighbor_count = Counter(v for s in support for v in g.signs[s] if v not in support)
+    masks = g.sign_masks
+    support = near = 0
+    for s, _ in cut.coeffs:
+        support |= 1 << s
+        near |= masks[s][0] | masks[s][1]
+    neighbor_count = {
+        v: ((masks[v][0] | masks[v][1]) & support).bit_count() for v in bits(near & ~support)
+    }
     candidates = sorted(
         (v for v, c in neighbor_count.items() if c >= 2),
         key=lambda v: (-neighbor_count[v], v),
@@ -542,7 +555,6 @@ def _sequential_lift(g: SignedGraph, cut: Cut, lifted_kind: str, cycle) -> Cut:
     if not candidates:
         return cut
 
-    masks = g.sign_masks
     coeffs = dict(cut.coeffs)
     cap = cut.rhs - 1e-9
     witnesses = _witnesses(masks, cycle, coeffs, cap)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,52 +30,19 @@ class SignedGraph:
         return len(self.edges)
 
     @cached_property
-    def e_plus(self) -> frozenset:
-        return self._signed_pairs(POS)
-
-    @cached_property
-    def e_minus(self) -> frozenset:
-        return self._signed_pairs(NEG)
-
-    @cached_property
-    def e_parallel(self) -> frozenset:
-        return self.e_plus & self.e_minus
-
-    def _signed_pairs(self, sign):
-        return frozenset((u, v) for u, v, s in self.edges if s == sign)
-
-    @cached_property
-    def signs(self) -> tuple:
-        """signs[u] = {v: frozenset of the signs on pair uv}; read-only.
-
-        Neighbors appear in the order of their first edge in `edges`, which
-        fixes the traversal order of every search over the adjacency.
-        """
-        adj = tuple({} for _ in range(self.n))
-        for u, v, s in self.edges:
-            adj[u][v] = adj[v][u] = adj[u].get(v, frozenset()) | {s}
-        return adj
-
-    @cached_property
     def sign_masks(self) -> tuple:
         """sign_masks[u] = (plus, minus): bit v of plus (minus) is set when
-        uv carries a positive (negative) edge."""
+        uv carries a positive (negative) edge.
+
+        The graph's one adjacency: plus & minus is the conflict graph of the
+        parallel pairs, and minus the negative graph.
+        """
         plus, minus = [0] * self.n, [0] * self.n
         for u, v, s in self.edges:
             side = plus if s == POS else minus
             side[u] |= 1 << v
             side[v] |= 1 << u
         return tuple(zip(plus, minus))
-
-    @cached_property
-    def conflicts(self) -> tuple:
-        """conflicts[u] = set of the v joined to u by a parallel pair (the
-        conflict graph of the clique and odd-hole cuts); read-only."""
-        adj = tuple(set() for _ in range(self.n))
-        for u, v in self.e_parallel:
-            adj[u].add(v)
-            adj[v].add(u)
-        return adj
 
 
 def build(n, edge_list) -> SignedGraph:
@@ -139,31 +105,42 @@ def is_balanced(g: SignedGraph, subset=None):
 
     With a vertex subset, tests the subgraph induced by it instead and
     returns W within the subset.  A graph is balanced iff it has no parallel
-    pair and no cycle with an odd number of negative edges.  BFS label
-    propagation per component from its lowest vertex, which gets label 0;
-    O(n+m).
+    pair and no cycle with an odd number of negative edges.  BFS over the
+    sign bitmasks per component from its lowest vertex, which goes on side
+    0: a positive neighbour joins u's side and a negative one the other.
     """
-    inside = range(g.n) if subset is None else set(subset)
-    label = {}
-    for root in sorted(inside):
-        if root in label:
-            continue
-        label[root] = 0
-        queue = deque([root])
-        while queue:
-            u = queue.popleft()
-            for v, ss in g.signs[u].items():
-                if v not in inside:
-                    continue
-                if len(ss) == 2:
-                    return None
-                want = label[u] ^ (NEG in ss)
-                if v not in label:
-                    label[v] = want
-                    queue.append(v)
-                elif label[v] != want:
-                    return None
-    return frozenset(v for v, side in label.items() if side == 1)
+    if subset is None:
+        inside = (1 << g.n) - 1
+    else:
+        inside = 0
+        for v in subset:
+            if not 0 <= v < g.n:
+                raise GraphError(f"vertex {v} out of range for n = {g.n}")
+            inside |= 1 << v
+    masks = g.sign_masks
+    sides = [0, 0]  # the labelled vertices on side 0 and side 1
+    left = inside  # not labelled yet
+    while left:
+        root = left & -left
+        left ^= root
+        sides[0] |= root
+        queue = [root.bit_length() - 1]
+        for u in queue:  # grows as it is read
+            plus, minus = masks[u]
+            plus &= inside
+            minus &= inside
+            here = 0 if sides[0] >> u & 1 else 1
+            if plus & minus or plus & sides[1 - here] or minus & sides[here]:
+                return None
+            sides[here] |= plus & left
+            sides[1 - here] |= minus & left
+            fresh = (plus | minus) & left
+            left ^= fresh
+            while fresh:
+                low = fresh & -fresh
+                fresh ^= low
+                queue.append(low.bit_length() - 1)
+    return frozenset(bits(sides[1]))
 
 
 def bits(mask) -> list:

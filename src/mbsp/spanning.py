@@ -40,6 +40,8 @@ def _edge_costs(g: SignedGraph, edges, strategy: TreeStrategy, rng) -> list:
     if strategy not in KRUSKAL_STRATEGIES:
         raise ValueError(f"{strategy} has no edge costs")
     if strategy is TreeStrategy.KRUSKAL_RANDOM:
+        if rng is None:
+            raise ValueError(f"{strategy} needs an rng")
         return [rng.randint(0, 1000) for _ in edges]
     if strategy is TreeStrategy.KRUSKAL_ADAPTIVE:
         # f1 when |E-| / |E+| < 1, counted twice over from the bitmasks

@@ -7,6 +7,8 @@ from mbsp import cli
 from mbsp import graph as G
 from mbsp import instances as I
 
+import adjacency as A
+
 
 def run_cli(args, capsys):
     code = cli.run(args)
@@ -34,7 +36,7 @@ def test_generate_to_stdout(capsys):
         capsys,
     )
     assert code == 0
-    assert I.parse_instance(out).e_parallel
+    assert A.parallel(I.parse_instance(out))
 
 
 def test_generate_group1_requires_ratio(capsys):

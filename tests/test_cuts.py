@@ -13,6 +13,8 @@ from mbsp import cuts as C
 from mbsp import graph as G
 from mbsp import instances as I
 
+import adjacency as A
+
 
 def balanced_incidence_vectors(g):
     """0/1 vectors of every balanced subset of g — the integer feasible set."""
@@ -136,10 +138,10 @@ def test_cut_pool_keeps_rows_and_order_past_growth():
 
 
 def test_conflict_graph():
+    # the conflict graph, plus & minus of the sign masks, joins the ends of
+    # each parallel pair
     g = G.build(3, [(0, 1, "+"), (0, 1, "-"), (1, 2, "-")])
-    conf = g.conflicts
-    assert 1 in conf[0] and 0 in conf[1]
-    assert not conf[2]
+    assert [plus & minus for plus, minus in g.sign_masks] == [0b010, 0b001, 0]
 
 
 def test_initial_formulation_covers_parallel_pairs():
@@ -151,7 +153,7 @@ def test_initial_formulation_covers_parallel_pairs():
             sup = sorted(j for j, _ in cut.coeffs)
             for u, v in itertools.combinations(sup, 2):
                 covered.add((u, v))
-    assert g.e_parallel <= covered
+    assert A.parallel(g) <= covered
     del cuts
 
 
@@ -168,10 +170,34 @@ def test_initial_formulation_cuts_are_valid():
                     assert cut.violation(y) <= 1e-9
 
 
+def reference_clique_cover(adj, min_size):
+    """_greedy_clique_cover on neighbour sets: for each edge uv (u < v, v
+    ascending) not yet covered, the clique grown from it by the lowest common
+    neighbour, kept when it has min_size vertices."""
+    covered = set()
+    cliques = []
+    for u in range(len(adj)):
+        for v in sorted(adj[u]):
+            if u > v or (u, v) in covered:
+                continue
+            clique = {u, v}
+            common = (adj[u] & adj[v]) - clique
+            while common:
+                w = min(common)
+                clique.add(w)
+                common &= adj[w]
+            if len(clique) >= min_size:
+                cliques.append(clique)
+                covered.update(itertools.combinations(sorted(clique), 2))
+    return cliques
+
+
 def reference_initial_formulation(g):
     """initial_formulation as it was before one dict took over its dedupe:
     an emitted-key set, the odd-walk search from every vertex, a set of
-    canonical cycles and a cap of 2n cycle rows."""
+    canonical cycles and a cap of 2n cycle rows; adjacency from the edge
+    list, each neighbour at its first edge, the positive arc of a parallel
+    pair first."""
     cuts = []
     emitted = set()
 
@@ -180,7 +206,7 @@ def reference_initial_formulation(g):
             emitted.add(cut.key)
             cuts.append(cut)
 
-    for clique in C._greedy_clique_cover(g.conflicts, min_size=2):
+    for clique in reference_clique_cover(A.conflicts(g), min_size=2):
         members = sorted(clique)
         if len(members) == 2:
             u, v = members
@@ -190,7 +216,7 @@ def reference_initial_formulation(g):
 
     cycle_rows = 0
     seen_cycles = set()
-    arcs = [[(v, int(s == G.NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in g.signs]
+    arcs = [[(v, int(s == G.NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in A.signs(g)]
     for v in range(g.n):
         if cycle_rows >= 2 * g.n:
             break
@@ -207,8 +233,8 @@ def reference_initial_formulation(g):
         push(C._cycle_cut(key))
         cycle_rows += 1
 
-    neg_adj = [{v for v, ss in nbrs.items() if G.NEG in ss} for nbrs in g.signs]
-    for clique in C._greedy_clique_cover(neg_adj, min_size=3):
+    neg_adj = [{v for v, ss in nbrs.items() if G.NEG in ss} for nbrs in A.signs(g)]
+    for clique in reference_clique_cover(neg_adj, min_size=3):
         push(C.Cut.make({v: 1.0 for v in sorted(clique)}, 2.0, C.NEG_CLIQUE))
     return cuts
 
@@ -247,7 +273,7 @@ def test_initial_odd_walk_search_skips_vertices_with_a_parallel_pair(monkeypatch
 
     monkeypatch.setattr(C, "_shortest_odd_walk_unit", recording)
     cuts = C.initial_formulation(g)
-    free = [v for v in range(g.n) if not g.conflicts[v]]
+    free = [v for v in range(g.n) if not A.conflicts(g)[v]]
     assert starts == free and 0 < len(free) < g.n
     assert any(cut.kind == C.ODD_NEG_CYCLE for cut in cuts)
 
@@ -282,16 +308,36 @@ def test_separated_cycle_cuts_are_valid():
                 assert cut.violation(v) <= 1e-9
 
 
+def reference_separate_clique(g, y):
+    """separate_clique on neighbour sets: from each vertex with a parallel
+    pair, the clique grown by the common neighbour of highest y, then lowest
+    index."""
+    conf = A.conflicts(g)
+    cliques = set()
+    for v in range(g.n):
+        clique, common = {v}, set(conf[v])
+        while common:
+            w = min(common, key=lambda u: (-y[u], u))
+            clique.add(w)
+            common &= conf[w]
+        cliques.add(frozenset(clique))
+    cuts = (C.Cut.make(dict.fromkeys(clique, 1.0), 1.0, C.CLIQUE) for clique in cliques if len(clique) > 1)
+    return C._most_violated(cuts, y, 100)
+
+
 def test_clique_cuts_are_valid():
     rng = random.Random(7)
     for seed in range(5):
         g = I.generate(I.RandomSpec(9, 0.7, seed=seed, parallel_frac=0.75))
         vecs = balanced_incidence_vectors(g)
-        y = random_fractional_point(g.n, rng)
-        for cut in C.separate_clique(g, y):
-            assert cut.kind == C.CLIQUE
-            for v in vecs:
-                assert cut.violation(v) <= 1e-9
+        for _ in range(4):
+            y = random_fractional_point(g.n, rng)
+            cuts = C.separate_clique(g, y)
+            assert cuts == reference_separate_clique(g, y)
+            for cut in cuts:
+                assert cut.kind == C.CLIQUE
+                for v in vecs:
+                    assert cut.violation(v) <= 1e-9
 
 
 def test_lifted_odd_hole_cuts_are_valid():
@@ -304,6 +350,18 @@ def test_lifted_odd_hole_cuts_are_valid():
             for cut in C.separate_lifted_odd_hole(g, y):
                 for v in vecs:
                     assert cut.violation(v) <= 1e-9
+
+
+def test_shortcut_chords_takes_the_lowest_chord_end():
+    # the first cycle vertex, 0, has chords to 9 and 8: the chord to its
+    # lowest end, 8, leaves the triangle 8-4-0 (the one to 9 would leave the
+    # 5-hole 0-1-2-3-9)
+    cycle = [0, 1, 2, 3, 9, 8, 4]
+    conf = [set() for _ in range(10)]
+    for u, v in list(zip(cycle, cycle[1:] + cycle[:1])) + [(0, 9), (0, 8)]:
+        conf[u].add(v)
+        conf[v].add(u)
+    assert C._shortcut_chords(A.masks(conf), cycle) == [8, 4, 0]
 
 
 def test_lifted_odd_hole_separation_returns_each_cut_once():
@@ -540,10 +598,10 @@ def reference_odd_cycle_separation(g, y, family):
         starts = [v for v in range(g.n) if y[v] > C.VIOLATION_TOL]
         simplify, make = (lambda cycle: cycle), C._cycle_cut
     else:
-        conf = g.conflicts
+        conf = A.conflicts(g)
         arcs = [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])] for u in range(g.n)]
         starts = [v for v in range(g.n) if conf[v]]
-        simplify = lambda cycle: C._shortcut_chords(conf, cycle)  # noqa: E731
+        simplify = lambda cycle: C._shortcut_chords(A.masks(conf), cycle)  # noqa: E731
 
         def make(hole):
             base = C.Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, C.LIFTED_ODD_HOLE)
@@ -666,7 +724,8 @@ def reference_sequential_lift(g, cut, lifted_kind):
     """_sequential_lift without witnesses: a capped search for every
     candidate."""
     support = {v for v, _ in cut.coeffs}
-    neighbor_count = collections.Counter(v for s in support for v in g.signs[s] if v not in support)
+    adj = A.signs(g)
+    neighbor_count = collections.Counter(v for s in support for v in adj[s] if v not in support)
     candidates = sorted((v for v, c in neighbor_count.items() if c >= 2), key=lambda v: (-neighbor_count[v], v))
     coeffs = dict(cut.coeffs)
     for v in candidates:
@@ -685,8 +744,9 @@ def reference_sequential_lift(g, cut, lifted_kind):
 
 def has_chord(g, cycle):
     k = len(cycle)
+    adj = A.signs(g)
     return any(
-        cycle[j] in g.signs[cycle[i]] for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)
+        cycle[j] in adj[cycle[i]] for i in range(k) for j in range(i + 2, k) if (i, j) != (0, k - 1)
     )
 
 
@@ -708,12 +768,12 @@ def test_lifting_witnesses_match_the_search_without_them():
         for _ in range(3):
             y = random_fractional_point(g.n, rng)
             bases += [(c, c.support_cycle, C.LIFTED_CYCLE) for c in C.separate_odd_negative_cycle(g, y)]
-            conf = g.conflicts
+            conf = A.conflicts(g)
             arcs = [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])] for u in range(g.n)]
             for v in range(g.n):
                 walk = C._dijkstra_odd_walk(g.n, arcs, v, 1.0 - C.VIOLATION_TOL)
                 if walk is not None:
-                    hole = C._canonical_cycle(C._shortcut_chords(conf, C._simple_odd_cycle(walk)))
+                    hole = C._canonical_cycle(C._shortcut_chords(A.masks(conf), C._simple_odd_cycle(walk)))
                     base = C.Cut.make({u: 1.0 for u in hole}, (len(hole) - 1) / 2.0, C.LIFTED_ODD_HOLE)
                     bases.append((base, hole, C.LIFTED_ODD_HOLE))
         if g.n <= 9:
@@ -772,7 +832,7 @@ def separation_searches(g, y):
     arcs = [sorted(lst) for lst in arcs]
     e = max(0.0, max(y) - 1.0)
     yield arcs, [u for u in range(g.n) if y[u] > C.VIOLATION_TOL - e - 1e-9]
-    conf = g.conflicts
+    conf = A.conflicts(g)
     yield [[(v, 1, max(0.0, 1.0 - y[u] - y[v])) for v in sorted(conf[u])] for u in range(g.n)], [
         v for v in range(g.n) if conf[v]
     ]

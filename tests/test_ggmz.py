@@ -13,6 +13,8 @@ from mbsp import graph as G
 from mbsp import instances as I
 from mbsp import spanning as SP
 
+import adjacency as A
+
 ALL_STRATEGIES = list(SP.TreeStrategy)
 
 
@@ -29,13 +31,13 @@ def max_stable_set_size(adj, n):
 def test_switch_set_makes_tree_positive():
     t = G.build(5, [(0, 1, "-"), (1, 2, "+"), (2, 3, "-"), (1, 4, "-")])
     w = GZ.switch_set_from_forest(t)
-    assert not G.switch(t, w).e_minus
+    assert not A.pairs(G.switch(t, w), G.NEG)
 
 
 def test_switch_set_on_forest_with_isolated_vertices():
     t = G.build(6, [(0, 1, "-"), (3, 4, "-")])
     w = GZ.switch_set_from_forest(t)
-    assert not G.switch(t, w).e_minus
+    assert not A.pairs(G.switch(t, w), G.NEG)
 
 
 def test_switch_set_rejects_cyclic_input():
@@ -48,6 +50,7 @@ def test_switch_set_rejects_cyclic_input():
 def _switch_set_reference(t):
     """DFS labelling of each tree from its lowest vertex: a vertex joins W
     iff its parent's label XOR the edge being negative is 1."""
+    adj = A.signs(t)
     label = [None] * t.n
     for root in range(t.n):
         if label[root] is not None:
@@ -56,7 +59,7 @@ def _switch_set_reference(t):
         stack = [root]
         while stack:
             u = stack.pop()
-            for v, ss in t.signs[u].items():
+            for v, ss in adj[u].items():
                 if label[v] is None:
                     label[v] = label[u] ^ (G.NEG in ss)
                     stack.append(v)
@@ -163,7 +166,7 @@ def test_greedy_stable_set_matches_recounting_reference():
     for seed in range(20):
         g = I.generate(I.RandomSpec(30, 0.3, seed=seed, neg_ratio=1.0))
         h = G.negative_part(g)
-        adj = [set(nbrs) for nbrs in h.signs]
+        adj = [set(nbrs) for nbrs in A.signs(h)]
         for draw in range(5):
             got = set(G.bits(GZ._greedy_stable_set(mask_adjacency(h), g.n, random.Random(draw))))
             want = _greedy_stable_set_reference(adj, g.n, random.Random(draw), 0.3)
@@ -208,7 +211,7 @@ def test_one_two_exchange_matches_set_reference():
             I.RandomSpec(16 + seed % 10, 0.2 + 0.1 * (seed % 5), seed=seed, parallel_frac=0.4),
         ):
             h = G.negative_part(I.generate(spec))
-            adj = [set(nbrs) for nbrs in h.signs]
+            adj = [set(nbrs) for nbrs in A.signs(h)]
             masks = mask_adjacency(h)
             greedy = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
             for start in (greedy, sum(1 << v for v in G.bits(greedy)[::2])):
@@ -237,7 +240,7 @@ def test_one_two_exchange_stops_at_the_deadline(monkeypatch):
         masks = mask_adjacency(h)
         greedy = GZ._greedy_stable_set(masks, h.n, random.Random(seed))
         start = sum(1 << v for v in G.bits(greedy)[::2])
-        free_run = _one_two_exchange_reference([set(nbrs) for nbrs in h.signs], h.n, set(G.bits(start)))
+        free_run = _one_two_exchange_reference([set(nbrs) for nbrs in A.signs(h)], h.n, set(G.bits(start)))
         clock[0], made[:] = -1, []
         assert set(G.bits(GZ._one_two_exchange(masks, h.n, start, math.inf))) == free_run
         last = clock[0]
@@ -336,7 +339,7 @@ def test_stable_set_bound_is_an_upper_bound():
                 I.RandomSpec(8 + seed % 5, d, seed=seed, parallel_frac=0.5),
             ):
                 g = I.generate(spec)
-                adj = [set(nbrs) for nbrs in g.signs]
+                adj = [set(nbrs) for nbrs in A.signs(g)]
                 assert GZ._stable_set_bound(mask_adjacency(g), g.n) >= max_stable_set_size(adj, g.n)
 
 
@@ -348,7 +351,7 @@ def random_forest(n, seed):
 def test_stable_set_bound_is_exact_on_forests():
     for seed in range(40):
         t = random_forest(1 + seed % 12, seed)
-        adj = [set(nbrs) for nbrs in t.signs]
+        adj = [set(nbrs) for nbrs in A.signs(t)]
         assert GZ._stable_set_bound(mask_adjacency(t), t.n) == max_stable_set_size(adj, t.n)
 
 

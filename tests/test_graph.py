@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from mbsp import graph as G
 
+import adjacency as A
+
 
 def complete_negative(n):
     return G.build(n, [(u, v, G.NEG) for u in range(n) for v in range(u + 1, n)])
@@ -36,9 +38,9 @@ def test_build_normalizes_and_counts():
     g = G.build(4, [(2, 0, "+"), (0, 1, "-"), (0, 2, "-")])
     assert g.n == 4
     assert g.m == 3
-    assert (0, 2) in g.e_plus and (0, 2) in g.e_minus
-    assert g.e_parallel == frozenset({(0, 2)})
-    assert g.e_minus == frozenset({(0, 1), (0, 2)})
+    assert g.edges == ((0, 2, "+"), (0, 1, "-"), (0, 2, "-"))
+    # (plus, minus) neighbour bitmasks; pair 02 carries both signs
+    assert g.sign_masks == ((0b100, 0b110), (0, 0b001), (0b001, 0b001), (0, 0))
 
 
 def test_build_rejects_bad_input():
@@ -57,9 +59,9 @@ def test_build_rejects_bad_input():
 def test_switch_flips_cut_edges_only():
     g = G.build(3, [(0, 1, "+"), (1, 2, "-"), (0, 2, "+")])
     h = G.switch(g, {1})
-    assert (0, 1) in h.e_minus
-    assert (1, 2) in h.e_plus
-    assert (0, 2) in h.e_plus  # both endpoints outside W stay put
+    assert (0, 1) in A.pairs(h, G.NEG)
+    assert (1, 2) in A.pairs(h, G.POS)
+    assert (0, 2) in A.pairs(h, G.POS)  # both endpoints outside W stay put
 
 
 def test_switch_involution():
@@ -87,7 +89,7 @@ def test_is_balanced_even_cycle():
     w = G.is_balanced(g)
     assert w is not None
     # W-switch leaves no negative edge
-    assert not G.switch(g, w).e_minus
+    assert not A.pairs(G.switch(g, w), G.NEG)
 
 
 def test_is_balanced_rejects_odd_negative_triangle():
@@ -110,7 +112,7 @@ def test_all_positive_is_balanced_with_empty_witness():
 def test_is_balanced_witness_is_sound(g):
     w = G.is_balanced(g)
     if w is not None:
-        assert not G.switch(g, w).e_minus
+        assert not A.pairs(G.switch(g, w), G.NEG)
 
 
 @settings(max_examples=200, deadline=None)
@@ -118,7 +120,7 @@ def test_is_balanced_witness_is_sound(g):
 def test_is_balanced_agrees_with_switch_enumeration(g):
     # oracle: balanced iff some switch kills all negative edges
     balanced = any(
-        not G.switch(g, set(w)).e_minus
+        not A.pairs(G.switch(g, set(w)), G.NEG)
         for k in range(g.n + 1)
         for w in itertools.combinations(range(g.n), k)
     )
@@ -128,22 +130,12 @@ def test_is_balanced_agrees_with_switch_enumeration(g):
 @settings(max_examples=200, deadline=None)
 @given(random_graph_strategy(), st.data())
 def test_cached_structure_matches_edges(g, data):
-    # the cached adjacency and edge classes agree with a rebuild from edges,
-    # also after a pickle round trip
+    # the cached adjacency agrees with a rebuild from edges, also after a
+    # pickle round trip
     for h in (g, pickle.loads(pickle.dumps(g))):
-        signs = [{} for _ in range(h.n)]
-        for u, v, s in h.edges:
-            signs[u].setdefault(v, set()).add(s)
-            signs[v].setdefault(u, set()).add(s)
-        assert [list(d.items()) for d in h.signs] == [
-            [(v, frozenset(ss)) for v, ss in d.items()] for d in signs
-        ]
-        plus = {(u, v) for u, v, s in h.edges if s == G.POS}
-        minus = {(u, v) for u, v, s in h.edges if s == G.NEG}
-        assert (h.e_plus, h.e_minus, h.e_parallel) == (plus, minus, plus & minus)
         assert h.sign_masks == tuple(
             tuple(sum(1 << v for v, ss in d.items() if s in ss) for s in (G.POS, G.NEG))
-            for d in signs
+            for d in A.signs(h)
         )
     # the subset balance check is the induced-subgraph check, mapped back
     subset = data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1)))
@@ -165,12 +157,41 @@ def component_masks(g, subset):
         while stack:
             u = stack.pop()
             mask |= 1 << vmap[u]
-            for v in sub.signs[u]:
+            for v in A.signs(sub)[u]:
                 if v not in seen:
                     seen.add(v)
                     stack.append(v)
         masks.add(mask)
     return masks
+
+
+@settings(max_examples=200, deadline=None)
+@given(random_graph_strategy(max_n=10), st.data())
+def test_is_balanced_agrees_with_exhaustive_labelling(g, data):
+    # oracle: the subset is balanced iff some split of it into two sides is a
+    # feasible bipartition; the W returned is such a split, with the lowest
+    # vertex of each component of the induced subgraph outside W
+    subset = sorted(data.draw(st.sets(st.integers(min_value=0, max_value=g.n - 1))))
+    w = G.is_balanced(g, subset)
+    feasible = any(
+        G.is_feasible(g, G.Bipartition(set(subset) - set(side1), side1))
+        for k in range(len(subset) + 1)
+        for side1 in itertools.combinations(subset, k)
+    )
+    assert (w is not None) == feasible
+    if w is not None:
+        assert w <= set(subset)
+        assert G.is_feasible(g, G.Bipartition(set(subset) - w, w))
+        for mask in component_masks(g, subset):
+            assert (mask & -mask).bit_length() - 1 not in w
+
+
+def test_is_balanced_rejects_subset_vertices_out_of_range():
+    g = G.build(3, [(0, 1, "+"), (1, 2, "-")])
+    for subset in ([-1], [0, 3], [5]):
+        with pytest.raises(G.GraphError):
+            G.is_balanced(g, subset)
+    assert G.is_balanced(g, [0, 1, 2]) == frozenset({2})
 
 
 @settings(max_examples=200, deadline=None)

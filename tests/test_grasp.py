@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 from mbsp import graph as G
 from mbsp import instances as I
 
+import adjacency as A
+
 GR = importlib.import_module("mbsp.grasp")
 
 
@@ -87,28 +89,28 @@ def test_grasp_on_balanced_graph_selects_everything():
 
 # ---------------------------------------------------------------------------
 # set-based reference: the GRASP steps written on Bipartition sets, with one
-# admissibility scan of g.signs per candidate test
+# admissibility scan of adj = adjacency.signs(g) per candidate test
 
 
-def _admissible_reference(g, p, i, side):
+def _admissible_reference(adj, p, i, side):
     same, other = (p.v1, p.v2) if side == 1 else (p.v2, p.v1)
-    for j, ss in g.signs[i].items():
+    for j, ss in adj[i].items():
         if (j in same and G.NEG in ss) or (j in other and G.POS in ss):
             return False
     return True
 
 
-def _candidates_reference(g, p, side):
+def _candidates_reference(adj, p, side):
     sel = p.selected
-    return {i for i in range(g.n) if i not in sel and _admissible_reference(g, p, i, side)}
+    return {i for i in range(len(adj)) if i not in sel and _admissible_reference(adj, p, i, side)}
 
 
-def _maximalize_reference(g, p):
+def _maximalize_reference(adj, p):
     v1, v2 = set(p.v1), set(p.v2)
     current = G.Bipartition(frozenset(v1), frozenset(v2))
     while True:
-        c1 = _candidates_reference(g, current, 1)
-        c2 = _candidates_reference(g, current, 2)
+        c1 = _candidates_reference(adj, current, 1)
+        c2 = _candidates_reference(adj, current, 2)
         if not c1 and not c2:
             return current
         i = min(c1 | c2)
@@ -116,12 +118,12 @@ def _maximalize_reference(g, p):
         current = G.Bipartition(frozenset(v1), frozenset(v2))
 
 
-def _construct_reference(g, rng):
+def _construct_reference(adj, rng):
     v1, v2 = set(), set()
     while True:
         p = G.Bipartition(frozenset(v1), frozenset(v2))
-        c1 = _candidates_reference(g, p, 1)
-        c2 = _candidates_reference(g, p, 2)
+        c1 = _candidates_reference(adj, p, 1)
+        c2 = _candidates_reference(adj, p, 2)
         sides = [w for w, c in ((1, c1), (2, c2)) if c]
         if not sides:
             return p
@@ -129,12 +131,12 @@ def _construct_reference(g, rng):
         (v1 if w == 1 else v2).add(rng.choice(sorted(c1 if w == 1 else c2)))
 
 
-def _neighbors_removing_reference(g, p, removed, side):
+def _neighbors_removing_reference(adj, p, removed, side):
     v1, v2 = set(p.v1), set(p.v2)
     (v1 if side == 1 else v2).difference_update(removed)
     base = G.Bipartition(frozenset(v1), frozenset(v2))
-    c_same = _candidates_reference(g, base, side)
-    c_other = _candidates_reference(g, base, 3 - side)
+    c_same = _candidates_reference(adj, base, side)
+    c_other = _candidates_reference(adj, base, 3 - side)
     out = []
     for j in sorted(c_same | c_other):
         w1, w2 = set(v1), set(v2)
@@ -142,17 +144,17 @@ def _neighbors_removing_reference(g, p, removed, side):
             (w1 if side == 1 else w2).add(j)
         else:
             (w2 if side == 1 else w1).add(j)
-        out.append(_maximalize_reference(g, G.Bipartition(frozenset(w1), frozenset(w2))))
+        out.append(_maximalize_reference(adj, G.Bipartition(frozenset(w1), frozenset(w2))))
     return out
 
 
-def _local_search_reference(g, p):
-    current = _maximalize_reference(g, p)
+def _local_search_reference(adj, p):
+    current = _maximalize_reference(adj, p)
     while True:
         best = current
         for side in (1, 2):
             for i in sorted(current.v1 if side == 1 else current.v2):
-                for q in _neighbors_removing_reference(g, current, {i}, side):
+                for q in _neighbors_removing_reference(adj, current, {i}, side):
                     if q.size() > best.size():
                         best = q
         if best.size() > current.size():
@@ -162,7 +164,7 @@ def _local_search_reference(g, p):
             members = sorted(current.v1 if side == 1 else current.v2)
             for a_idx in range(len(members)):
                 for b in members[a_idx + 1 :]:
-                    for q in _neighbors_removing_reference(g, current, {members[a_idx], b}, side):
+                    for q in _neighbors_removing_reference(adj, current, {members[a_idx], b}, side):
                         if q.size() > best.size():
                             best = q
         if best.size() > current.size():
@@ -191,19 +193,19 @@ def _larger_reference_graphs():
 
 def test_construct_and_local_search_match_set_reference():
     graphs = list(_reference_graphs())
-    assert len(graphs) == 40 and sum(bool(g.e_parallel) for g in graphs) >= 15
+    assert len(graphs) == 40 and sum(bool(A.parallel(g)) for g in graphs) >= 15
     larger = list(_larger_reference_graphs())
     assert max(g.n for g in larger) == 40
     for seed, g in enumerate(graphs + larger):
         got_rng, want_rng = random.Random(seed), random.Random(seed)
         for _ in range(2):
             p = GR.construct(g, got_rng)
-            assert p == _construct_reference(g, want_rng)
-            assert GR.local_search(g, p) == _local_search_reference(g, p)
+            assert p == _construct_reference(A.signs(g), want_rng)
+            assert GR.local_search(g, p) == _local_search_reference(A.signs(g), p)
         assert got_rng.random() == want_rng.random()  # same draws consumed
         # a non-maximal start exercises the initial maximalization
         start = G.Bipartition(frozenset(sorted(p.v1)[::2]), p.v2)
-        assert GR.local_search(g, start) == _local_search_reference(g, start)
+        assert GR.local_search(g, start) == _local_search_reference(A.signs(g), start)
 
 
 def test_local_search_skips_completions_that_cannot_beat_the_best(monkeypatch):
@@ -227,7 +229,7 @@ def test_local_search_skips_completions_that_cannot_beat_the_best(monkeypatch):
     for seed, g in enumerate(_larger_reference_graphs()):
         p = GR.construct(g, random.Random(seed))
         counts.update(pairs=0, maximalize=-1)  # not the start's maximalization
-        assert GR.local_search(g, p) == _local_search_reference(g, p)
+        assert GR.local_search(g, p) == _local_search_reference(A.signs(g), p)
         assert counts["pairs"] > 0 and counts["maximalize"] < counts["pairs"] / 2, counts
 
 
@@ -257,7 +259,7 @@ def test_candidates_are_the_feasible_insertions(gp, side):
     grown = lambda i: G.Bipartition(p.v1 | {i}, p.v2) if side == 1 else G.Bipartition(p.v1, p.v2 | {i})  # noqa: E731
     want = {i for i in range(g.n) if i not in p.selected and G.is_feasible(g, grown(i))}
     assert GR.candidates(g, p, side) == want
-    assert GR.candidates(g, p, side) == _candidates_reference(g, p, side)
+    assert GR.candidates(g, p, side) == _candidates_reference(A.signs(g), p, side)
 
 
 @settings(max_examples=200, deadline=None)
@@ -293,7 +295,7 @@ def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():
         assert G.is_feasible(g, q)
         assert q.size() >= p.size()
         assert not GR.candidates(g, q, 1) and not GR.candidates(g, q, 2)
-        assert q == _maximalize_reference(g, p)  # no neighborhood was scanned
+        assert q == _maximalize_reference(A.signs(g), p)  # no neighborhood was scanned
 
 
 def test_local_search_stops_at_the_deadline(monkeypatch):

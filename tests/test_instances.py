@@ -6,6 +6,8 @@ import pytest
 from mbsp import graph as G
 from mbsp import instances as I
 
+import adjacency as A
+
 DENSITIES = (0.25, 0.5, 0.75)
 NEG_RATIOS = (0.5, 1.0, 2.0)
 PARALLEL_FRACS = (0.25, 0.5, 0.75)
@@ -56,8 +58,8 @@ def test_group1_counts_on_grid():
                 g = I.generate(I.RandomSpec(n, d, seed=1, neg_ratio=r))
                 m = expected_m(n, d)
                 assert g.m == m
-                assert len(g.e_minus) == half_up(m * r / (1 + r))
-                assert not g.e_parallel
+                assert len(A.pairs(g, G.NEG)) == half_up(m * r / (1 + r))
+                assert not A.parallel(g)
 
 
 def test_group2_counts_on_grid():
@@ -66,17 +68,17 @@ def test_group2_counts_on_grid():
             for f in PARALLEL_FRACS:
                 g = I.generate(I.RandomSpec(n, d, seed=1, parallel_frac=f))
                 m = expected_m(n, d)
-                assert len(g.e_plus | g.e_minus) == m  # distinct pairs
-                assert len(g.e_parallel) == half_up(m * f)
+                assert len(A.pairs(g, G.POS) | A.pairs(g, G.NEG)) == m  # distinct pairs
+                assert len(A.parallel(g)) == half_up(m * f)
 
 
 def test_reference_counts():
     g = I.generate(I.RandomSpec(50, 0.25, seed=1, neg_ratio=1.0))
     assert g.m == 306
-    assert len(g.e_minus) == 153
+    assert len(A.pairs(g, G.NEG)) == 153
     g = I.generate(I.RandomSpec(4, 1.0, seed=0, neg_ratio=0.5))
     assert g.m == 6
-    assert len(g.e_minus) == 2
+    assert len(A.pairs(g, G.NEG)) == 2
 
 
 def test_generate_deterministic_per_seed():

@@ -7,6 +7,8 @@ from mbsp import graph as G
 from mbsp import instances as I
 from mbsp import spanning as SP
 
+import adjacency as A
+
 
 def forest_pairs(t):
     return {(u, v) for u, v, _ in t.edges}
@@ -92,6 +94,14 @@ def test_random_costs_in_range_and_seeded():
     assert costs == [SP.edge_cost(SAMPLE, e, SP.TreeStrategy.KRUSKAL_RANDOM, rng2) for e in SAMPLE.edges]
 
 
+def test_random_costs_need_an_rng():
+    g = G.build(3, [(0, 1, "+"), (1, 2, "-")])
+    with pytest.raises(ValueError, match="rng"):
+        SP.spanning_forest(g, SP.TreeStrategy.KRUSKAL_RANDOM)
+    with pytest.raises(ValueError, match="rng"):
+        SP.edge_cost(g, g.edges[0], SP.TreeStrategy.KRUSKAL_RANDOM, None)
+
+
 def test_adaptive_picks_by_sign_ratio():
     mostly_pos = G.build(3, [(0, 1, "+"), (1, 2, "+"), (0, 2, "-")])
     mostly_neg = G.build(3, [(0, 1, "-"), (1, 2, "-"), (0, 2, "+")])
@@ -130,19 +140,20 @@ def test_from_token():
         SP.TreeStrategy("nope")
 
 
-def _edge_cost_reference(g, e, strategy, rng):
-    """edge_cost before it ran on bitmasks, from the edge-class sets."""
+def _edge_costs_reference(g, edges, strategy, rng):
+    """edge_cost of each of the edges before it ran on bitmasks, from the
+    edge-class sets of the edge list."""
     if strategy is SP.TreeStrategy.KRUSKAL_RANDOM:
-        return rng.randint(0, 1000)
+        return [rng.randint(0, 1000) for _ in edges]
+    plus, minus = A.pairs(g, G.POS), A.pairs(g, G.NEG)
     if strategy is SP.TreeStrategy.KRUSKAL_ADAPTIVE:
-        n_minus, n_plus = len(g.e_minus), len(g.e_plus)
-        below_one = n_plus > 0 and n_minus / n_plus < 1
+        below_one = plus and len(minus) / len(plus) < 1
         strategy = SP.TreeStrategy.KRUSKAL_F1 if below_one else SP.TreeStrategy.KRUSKAL_F2
     cost_pos, cost_neg, cost_par = {"f1": (3, 1, 2), "f2": (1, 2, 3), "f3": (2, 1, 3)}[strategy.value]
-    u, v, sign = e
-    if (min(u, v), max(u, v)) in g.e_parallel:
-        return cost_par
-    return cost_pos if sign == "+" else cost_neg
+    return [
+        cost_par if (min(u, v), max(u, v)) in plus & minus else cost_pos if sign == "+" else cost_neg
+        for u, v, sign in edges
+    ]
 
 
 def _spanning_forest_reference(g, strategy, rng=None):
@@ -150,7 +161,8 @@ def _spanning_forest_reference(g, strategy, rng=None):
     edge-class sets, a union-find over every edge in (cost, index) order,
     and BFS/DFS over sorted adjacency lists."""
     if strategy in SP.KRUSKAL_STRATEGIES:
-        costed = [(_edge_cost_reference(g, e, strategy, rng), i, e) for i, e in enumerate(g.edges)]
+        costs = _edge_costs_reference(g, g.edges, strategy, rng)
+        costed = [(cost, i, e) for i, (cost, e) in enumerate(zip(costs, g.edges))]
         costed.sort(key=lambda t: (t[0], t[1]))
         parent = list(range(g.n))
 
@@ -166,14 +178,15 @@ def _spanning_forest_reference(g, strategy, rng=None):
                 parent[rv] = ru
                 forest.append(e)
         return G.SignedGraph(g.n, tuple(sorted(forest)))
-    neighbors = [sorted(d) for d in g.signs]
+    adj = A.signs(g)
+    neighbors = [sorted(d) for d in adj]
     visited = [False] * g.n
     forest = []
 
     def take(parent, v):
         visited[v] = True
         if parent is not None:
-            sign = "+" if "+" in g.signs[parent][v] else "-"
+            sign = "+" if "+" in adj[parent][v] else "-"
             forest.append((min(parent, v), max(parent, v), sign))
 
     for root in range(g.n):
@@ -217,7 +230,8 @@ def test_spanning_forest_matches_the_reference(strategy):
                 assert rng.getstate() == ref_rng.getstate()
                 if strategy in SP.KRUSKAL_STRATEGIES:
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    for e in g.edges:  # edge_cost reads the forest's rule
-                        assert SP.edge_cost(g, e, strategy, rng) == _edge_cost_reference(g, e, strategy, ref_rng)
+                    # edge_cost reads the forest's rule
+                    got = [SP.edge_cost(g, e, strategy, rng) for e in g.edges]
+                    assert got == _edge_costs_reference(g, g.edges, strategy, ref_rng)
                 disconnected += t.m < g.n - 1
     assert disconnected >= 12
