@@ -151,8 +151,7 @@ CSV_HEADER = "instance,n,m,m_minus,m_plus,m_parallel,method,time_s,status,lb,ub,
 
 def _bench_one(task):
     name, g, method, tree, branching, time_limit, iterations, seed = task
-    # each pair is counted from both ends
-    n_plus = sum(plus.bit_count() for plus, _ in g.sign_masks) // 2
+    # pairs with a negative edge and parallel pairs, each counted from both ends
     n_minus = sum(minus.bit_count() for _, minus in g.sign_masks) // 2
     n_par = sum((plus & minus).bit_count() for plus, minus in g.sign_masks) // 2
     base = {
@@ -160,7 +159,7 @@ def _bench_one(task):
         "n": g.n,
         "m": g.m,
         "m_minus": n_minus - n_par,
-        "m_plus": n_plus - n_par,
+        "m_plus": g.m - n_minus - n_par,
         "m_parallel": n_par,
         "method": method,
         "group": 2 if n_par else 1,

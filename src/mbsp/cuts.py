@@ -113,15 +113,11 @@ def _most_violated(cuts, y, limit):
     return [c for _, c in ranked[:limit]]
 
 
-def _grow_clique(adj, members, order=None):
-    """A maximal clique, as a vertex bitmask, of the graph with neighbour
-    bitmasks adj that holds the vertices members: grown by the common
-    neighbour that comes first in order (lowest index by default), which
-    must list every vertex that can join."""
-    clique, common = 0, -1
-    for v in members:
-        clique |= 1 << v
-        common &= adj[v]
+def _grow_clique(adj, clique, common, order=None):
+    """Grow the clique (a vertex bitmask) of the graph with neighbour
+    bitmasks adj, whose common neighbours are common, to a maximal one,
+    adding the common neighbour that comes first in order (lowest index by
+    default), which must list every vertex that can join."""
     ranked = None if order is None else iter(order)
     while common:
         if ranked is None:
@@ -148,7 +144,7 @@ def _greedy_clique_cover(adj, min_size=2):
         while todo := todo & ~covered[u]:
             low = todo & -todo
             todo ^= low
-            clique = _grow_clique(adj, (u, low.bit_length() - 1))
+            clique = _grow_clique(adj, 1 << u | low, nbrs & adj[low.bit_length() - 1])
             if clique.bit_count() >= min_size:
                 cliques.append(clique)
                 for v in bits(clique):
@@ -409,7 +405,7 @@ def separate_clique(g: SignedGraph, y, limit=100):
     index)."""
     conf = [plus & minus for plus, minus in g.sign_masks]
     seeds = sorted((v for v in range(g.n) if conf[v]), key=lambda v: (-y[v], v))
-    cliques = {_grow_clique(conf, (v,), seeds) for v in seeds}
+    cliques = {_grow_clique(conf, 1 << v, conf[v], seeds) for v in seeds}
     cuts = (Cut.make(dict.fromkeys(bits(clique), 1.0), 1.0, CLIQUE) for clique in cliques)
     return _most_violated(cuts, y, limit)
 
@@ -433,11 +429,8 @@ def separate_lifted_odd_hole(g: SignedGraph, y, limit=100):
 
 
 def _shortcut_chords(conf, cycle):
-    """Shortcut chords until the odd cycle is chordless (an odd hole).
-
-    conf holds neighbour bitmasks; the chord taken is the first cycle
-    vertex's, to its lowest chord end.
-    """
+    """Shortcut chords until the odd cycle is chordless (an odd hole): the
+    first cycle vertex's, to its lowest end in the neighbour bitmasks conf."""
     while len(cycle) > 3:
         k = len(cycle)
         on_cycle = sum(1 << v for v in cycle)
