@@ -155,6 +155,9 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         finally:
             phase[name] += perf_counter() - t
 
+    # the clique and odd-hole separators search the conflict graph of the
+    # parallel pairs; without a parallel pair they are not called
+    parallel = any(plus & minus for plus, minus in g.sign_masks)
     pool = C.CutPool(g.n)
     initial = list(C.initial_formulation(g))
     for cut in initial:
@@ -247,10 +250,10 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             if not new_cuts:
                 cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, params.max_cuts_per_round)
                 new_cuts = [timed("lift", C.lift_odd_negative_cycle, g, cut) for cut in cycles]
-                if len(new_cuts) < params.max_cuts_per_round:
+                if parallel and len(new_cuts) < params.max_cuts_per_round:
                     limit = params.max_cuts_per_round - len(new_cuts)
                     new_cuts += timed("sep_clique", C.separate_clique, g, y, limit=limit)
-                if len(new_cuts) < params.max_cuts_per_round:
+                if parallel and len(new_cuts) < params.max_cuts_per_round:
                     limit = params.max_cuts_per_round - len(new_cuts)
                     new_cuts += timed("sep_hole", C.separate_lifted_odd_hole, g, y, limit=limit)
             if not new_cuts:

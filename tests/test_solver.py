@@ -305,6 +305,19 @@ def test_stats_are_populated():
     assert sum(phases.values()) <= r.stats["wall_time"]
 
 
+def test_conflict_graph_separators_run_only_with_a_parallel_pair(monkeypatch):
+    # both search the conflict graph of the parallel pairs, empty on group 1
+    calls = []
+    for name in ("separate_clique", "separate_lifted_odd_hole"):
+        sep = getattr(C, name)
+        monkeypatch.setattr(C, name, lambda g, y, limit, name=name, sep=sep: calls.append(name) or sep(g, y, limit))
+    r = S.solve(I.generate(I.RandomSpec(20, 0.5, seed=2, neg_ratio=1.0)))
+    assert r.stats["time_by_phase"]["sep_cycle"] > 0.0 and not calls
+    r = S.solve(I.generate(I.RandomSpec(20, 0.5, seed=2, parallel_frac=0.5)))
+    assert {"separate_clique", "separate_lifted_odd_hole"} <= set(calls)
+    assert r.stats["cuts_by_kind"][C.LIFTED_ODD_HOLE] > 0
+
+
 def test_deterministic_across_runs():
     g = I.generate(I.RandomSpec(12, 0.5, seed=3, parallel_frac=0.5))
     a = S.solve(g)
