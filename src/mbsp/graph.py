@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -113,7 +114,7 @@ def is_balanced(g: SignedGraph, subset=None):
         inside = (1 << g.n) - 1
     else:
         inside = 0
-        for v in subset:
+        for v in map(operator.index, subset):  # ints, numpy's among them
             if not 0 <= v < g.n:
                 raise GraphError(f"vertex {v} out of range for n = {g.n}")
             inside |= 1 << v

@@ -1,6 +1,7 @@
 import itertools
 import pickle
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -186,12 +187,17 @@ def test_is_balanced_agrees_with_exhaustive_labelling(g, data):
             assert (mask & -mask).bit_length() - 1 not in w
 
 
-def test_is_balanced_rejects_subset_vertices_out_of_range():
+def test_is_balanced_checks_subset_vertices():
     g = G.build(3, [(0, 1, "+"), (1, 2, "-")])
     for subset in ([-1], [0, 3], [5]):
         with pytest.raises(G.GraphError):
             G.is_balanced(g, subset)
+    with pytest.raises(TypeError):
+        G.is_balanced(g, [0, 1.0])
     assert G.is_balanced(g, [0, 1, 2]) == frozenset({2})
+    # numpy integers are vertices too, also above bit 63
+    h = G.build(100, [(0, 70, "-"), (70, 99, "-")])
+    assert G.is_balanced(h, np.array([0, 70, 99])) == frozenset({70})
 
 
 @settings(max_examples=200, deadline=None)
