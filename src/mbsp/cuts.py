@@ -46,12 +46,10 @@ class Cut:
     def violation(self, y) -> float:
         return self.lhs(y) - self.rhs
 
-    def row(self):
-        return (dict(self.coeffs), "<=", self.rhs)
-
 
 class CutPool:
-    """Every distinct cut added so far, in the order added.
+    """Every distinct cut added so far, in the order added.  A cut's row
+    index in the pool is its name in the exact search.
 
     Each cut's dense row is stored once, in one (rows x n) matrix that
     doubles as it fills: a scan is a single matrix-vector product, and the
@@ -67,10 +65,14 @@ class CutPool:
     def __len__(self):
         return len(self._cuts)
 
-    def add(self, cut: Cut) -> bool:
-        """Store cut, unless a cut with its key (of any kind) is stored."""
-        if cut.key in self._index:
-            return False
+    def __getitem__(self, i) -> Cut:
+        return self._cuts[i]
+
+    def add(self, cut: Cut) -> int:
+        """The row of cut: a new one, or the stored row of its key's cut."""
+        i = self._index.get(cut.key)
+        if i is not None:
+            return i
         i = len(self._cuts)
         if i == len(self._mat):
             self._mat = np.concatenate([self._mat, np.zeros_like(self._mat)])
@@ -80,21 +82,23 @@ class CutPool:
         self._rhs[i] = cut.rhs
         self._index[cut.key] = i
         self._cuts.append(cut)
-        return True
+        return i
 
-    def row(self, cut: Cut):
-        """The dense row of the stored cut with cut's key."""
-        return self._mat[self._index[cut.key]]
+    def dense(self, rows):
+        """The coefficient arrays and rhs of rows (an index list or slice)."""
+        return self._mat[rows], self._rhs[rows]
+
+    def violations(self, rows, y):
+        """lhs - rhs at y of rows (an index list or slice), in one product."""
+        return self._mat[rows] @ np.asarray(y, dtype=float) - self._rhs[rows]
 
 
 def scan_pool(pool: CutPool, y, limit=100):
-    """Pool cuts violated by the current point, most violated first (ties by
-    age)."""
-    rows = len(pool)
-    viol = pool._mat[:rows] @ np.asarray(y, dtype=float) - pool._rhs[:rows]
+    """The list of rows violated at y, most violated first (ties by age)."""
+    viol = pool.violations(slice(len(pool)), y)
     idx = np.nonzero(viol > VIOLATION_TOL)[0]
     order = idx[np.lexsort((idx, -viol[idx]))]
-    return [pool._cuts[i] for i in order[:limit]]
+    return order[:limit].tolist()
 
 
 def _most_violated(cuts, y, limit):

@@ -44,11 +44,11 @@ class SolveParams:
 @dataclass
 class SearchNode:
     fixings: dict  # var -> 0 or 1
-    extra_rows: list  # branching rows (coeffs, rel, rhs)
+    extra_rows: list  # branching rows (coeffs, rel, rhs); a child's extends its parent's
     bound: float
     depth: int
-    cuts: tuple  # inherited cuts beyond the initial formulation
-    basis: tuple = None  # (column statuses, {row key: status} of nonbasic rows)
+    cuts: tuple  # pool rows the cut loop starts from: the initial formulation at the root, else inherited
+    basis: tuple = None  # (column statuses, {row name: status} of nonbasic rows); _build_lp names rows
 
 
 @dataclass
@@ -64,13 +64,9 @@ def _is_integral(y):
     return all(v <= INT_TOL or v >= 1.0 - INT_TOL for v in y)
 
 
-def _row_key(row):
-    coeffs, _, rhs = row
-    return (tuple(sorted(coeffs.items())), rhs)
-
-
-def branch(node: SearchNode, y, active_cuts, mode: str):
-    """Create 2 or 3 children partitioning the node's integral region."""
+def branch(node: SearchNode, y, binding_cuts, mode: str):
+    """Create 2 or 3 children partitioning the node's integral region; cycle
+    branching picks among the support cycles of the binding_cuts at y."""
     frac = [i for i, v in enumerate(y) if INT_TOL < v < 1.0 - INT_TOL]
     if not frac:
         raise ValueError("branch() requires a fractional point")
@@ -78,10 +74,8 @@ def branch(node: SearchNode, y, active_cuts, mode: str):
     cycle = None
     if mode == CYCLE:
         candidates = []
-        for cut in active_cuts:
+        for cut in binding_cuts:
             if cut.support_cycle is None:
-                continue
-            if abs(cut.violation(y)) > BINDING_TOL:
                 continue
             if not any(INT_TOL < y[v] < 1.0 - INT_TOL for v in cut.support_cycle):
                 continue
@@ -119,18 +113,19 @@ def branch(node: SearchNode, y, active_cuts, mode: str):
     return children
 
 
-def _build_lp(g, active_cuts, node: SearchNode, pool):
-    """The node's LP and a key per row: a cut's key, or a branching row's.
+def _build_lp(g, active, node: SearchNode, pool):
+    """The node's LP over the pool rows active and its branching rows, and
+    a name per row: a cut's pool row, or ~k for the k-th branching row.
 
-    Every row is coeffs . y <= rhs for its key (coeffs, rhs).  A cut's row
-    is the pool's array; a branching row goes in as a dict.
+    A cut's row is the pool's array; a branching row goes in as a dict.
     """
     bounds = [(0.0, 1.0)] * g.n
     for i, fx in node.fixings.items():
         bounds[i] = (float(fx), float(fx))
-    rows = [(pool.row(cut), LP.LE, cut.rhs) for cut in active_cuts] + node.extra_rows
-    keys = [cut.key for cut in active_cuts] + [_row_key(row) for row in node.extra_rows]
-    return LP.LinearProgram([1.0] * g.n, rows, bounds), keys
+    mat, rhs = pool.dense(active)
+    rows = [(a, LP.LE, b) for a, b in zip(mat, rhs)] + node.extra_rows
+    names = [*active, *(~k for k in range(len(node.extra_rows)))]
+    return LP.LinearProgram([1.0] * g.n, rows, bounds), names
 
 
 def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
@@ -159,9 +154,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     # parallel pairs; without a parallel pair they are not called
     parallel = any(plus & minus for plus, minus in g.sign_masks)
     pool = C.CutPool(g.n)
-    initial = list(C.initial_formulation(g))
-    for cut in initial:
-        pool.add(cut)
+    initial = tuple(pool.add(cut) for cut in C.initial_formulation(g))
 
     best = Bipartition()
     lb = 0
@@ -169,7 +162,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     def note_cut(cut):
         stats["cuts_by_kind"][cut.kind] = stats["cuts_by_kind"].get(cut.kind, 0) + 1
 
-    root = SearchNode({}, [], float(g.n), 0, tuple(initial))
+    root = SearchNode({}, [], float(g.n), 0, initial)
     counter = 0
     heap = [(-root.bound, counter, root)]
     status = "optimal"
@@ -186,7 +179,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # cut loop from the rows that were tight at the parent (the root's
         # are the full formulation); the pool re-supplies anything that
         # becomes violated again
-        active_cuts = list(node.cuts)
+        active = list(node.cuts)
         rounds = 0
         prev_bound = None
         prune = False
@@ -194,11 +187,11 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # rows the basis does not name are new or had basic slacks
         basis = node.basis
         while True:
-            lp_, keys = _build_lp(g, active_cuts, node, pool)
+            lp_, names = _build_lp(g, active, node, pool)
             warm = None
             if basis is not None:
                 cols, nonbasic_rows = basis
-                warm = LP.Basis(cols, tuple(nonbasic_rows.get(k) for k in keys))
+                warm = LP.Basis(cols, tuple(nonbasic_rows.get(k) for k in names))
             try:
                 sol = timed("lp", LP.solve, lp_, warm)
             except LP.NumericalError:
@@ -217,7 +210,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 break
             basis = (
                 sol.basis.cols,
-                {k: s for k, s in zip(keys, sol.basis.rows) if s != LP.BASIC},
+                {k: s for k, s in zip(names, sol.basis.rows) if s != LP.BASIC},
             )
             bound = sol.objective_value
             y = sol.values.tolist()
@@ -246,8 +239,8 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 prune = True
                 break
             # the pool scan is a matrix product, so it takes the array
-            new_cuts = timed("pool_scan", C.scan_pool, pool, sol.values, params.max_cuts_per_round)
-            if not new_cuts:
+            new_rows = timed("pool_scan", C.scan_pool, pool, sol.values, params.max_cuts_per_round)
+            if not new_rows:
                 cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, params.max_cuts_per_round)
                 new_cuts = [timed("lift", C.lift_odd_negative_cycle, g, cut) for cut in cycles]
                 if parallel and len(new_cuts) < params.max_cuts_per_round:
@@ -256,24 +249,21 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 if parallel and len(new_cuts) < params.max_cuts_per_round:
                     limit = params.max_cuts_per_round - len(new_cuts)
                     new_cuts += timed("sep_hole", C.separate_lifted_odd_hole, g, y, limit=limit)
-            if not new_cuts:
+                new_rows = [pool.add(cut) for cut in new_cuts]
+            if not new_rows:
                 break
             if not integral:
                 # rows gone slack at the current point only pad the tableau;
                 # the pool re-supplies any that become violated again
-                active_cuts = [c for c in active_cuts if c.violation(y) >= -0.1]
-            added = 0
-            active_keys = {c.key for c in active_cuts}
-            for cut in new_cuts:
-                if cut.key in active_keys:
-                    continue
-                active_cuts.append(cut)
-                active_keys.add(cut.key)
-                pool.add(cut)
-                note_cut(cut)
-                added += 1
-            if added == 0:
+                viol = pool.violations(active, sol.values).tolist()
+                active = [i for i, v in zip(active, viol) if v >= -0.1]
+            in_active = set(active)
+            fresh = [i for i in dict.fromkeys(new_rows) if i not in in_active]
+            if not fresh:
                 break
+            active += fresh
+            for i in fresh:
+                note_cut(pool[i])
             rounds += 1
 
         if prune:
@@ -285,9 +275,11 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
 
         # children inherit only the cuts still doing work at this node's point;
         # anything dropped stays in the pool and can return via scan_pool
-        tight = tuple(cut for cut in active_cuts if cut.violation(y) >= -0.01)
+        viol = pool.violations(active, sol.values).tolist()
+        tight = tuple(i for i, v in zip(active, viol) if v >= -0.01)
+        binding = [pool[i] for i, v in zip(active, viol) if abs(v) <= BINDING_TOL]
         node = SearchNode(node.fixings, node.extra_rows, bound, node.depth, tight, basis)
-        for child in timed("branch", branch, node, y, active_cuts, params.branching):
+        for child in timed("branch", branch, node, y, binding, params.branching):
             counter += 1
             heapq.heappush(heap, (-bound, counter, child))
 

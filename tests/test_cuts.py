@@ -75,32 +75,41 @@ def test_cut_arithmetic():
     y = [0.0, 0.9, 0.0, 0.8]
     assert abs(cut.lhs(y) - 1.7) < 1e-12
     assert abs(cut.violation(y) - 0.7) < 1e-12
-    coeffs, rel, rhs = cut.row()
-    assert rel == "<=" and rhs == 1.0 and dict(coeffs) == {1: 1.0, 3: 1.0}
 
 
 def test_cut_pool_dedup():
     pool = C.CutPool(4)
     a = C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.PARALLEL_EDGE)
     b = C.Cut.make({1: 1.0, 2: 1.0}, 1.0, C.PARALLEL_EDGE)
-    assert pool.add(a) and not pool.add(a)
-    assert pool.add(b)
-    # a cut of another kind with the same key is the same row
-    same = C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.CLIQUE)
-    assert same.key == a.key and not pool.add(same)
-    assert len(pool) == 2
-    assert pool.row(same).tolist() == [1.0, 1.0, 0.0, 0.0]
+    assert pool.add(a) == 0 and pool.add(a) == 0
+    assert pool.add(b) == 1
+    assert len(pool) == 2 and pool[0] is a and pool[1] is b
+    mat, rhs = pool.dense([1, 0])
+    assert mat.tolist() == [[0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
+    assert rhs.tolist() == [1.0, 1.0]
+    assert pool.violations([1, 0], [0.5, 0.25, 1.0, 0.0]).tolist() == [0.25, -0.25]
+
+
+def test_cut_pool_names_a_key_by_its_first_row():
+    pool = C.CutPool(4)
+    pool.add(C.Cut.make({2: 1.0, 3: 1.0}, 1.0, C.PARALLEL_EDGE))
+    clique = C.Cut.make({0: 1.0, 1: 1.0, 2: 1.0}, 1.0, C.CLIQUE)
+    hole = C.Cut.make({0: 1.0, 1: 1.0, 2: 1.0}, 1.0, C.LIFTED_ODD_HOLE, support_cycle=(0, 1, 2))
+    assert hole.key == clique.key and hole != clique
+    # a cut of another kind with the same key is the stored cut's row
+    assert pool.add(clique) == 1 and pool.add(hole) == 1
+    assert len(pool) == 2 and pool[1] is clique
+    got = C.scan_pool(pool, [0.5, 0.5, 0.5, 0.75])
+    assert type(got) is list and all(type(i) is int for i in got)
+    assert got == [1, 0]
 
 
 def test_scan_pool_orders_by_violation():
     pool = C.CutPool(4)
-    small = C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.PARALLEL_EDGE)
-    big = C.Cut.make({2: 1.0, 3: 1.0}, 1.0, C.PARALLEL_EDGE)
-    pool.add(small)
-    pool.add(big)
+    small = pool.add(C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.PARALLEL_EDGE))
+    big = pool.add(C.Cut.make({2: 1.0, 3: 1.0}, 1.0, C.PARALLEL_EDGE))
     y = [0.6, 0.6, 1.0, 1.0]
-    got = C.scan_pool(pool, y)
-    assert got[0] == big and got[1] == small
+    assert C.scan_pool(pool, y) == [big, small]
     assert C.scan_pool(pool, [0.0] * 4) == []
 
 
@@ -111,10 +120,10 @@ def test_scan_pool_breaks_ties_by_age():
     for cut in cuts[:3]:
         pool.add(cut)
     # violations 0.2, 0.2, 0.4: the larger first, then the older
-    assert C.scan_pool(pool, y) == [cuts[2], cuts[0], cuts[1]]
-    assert C.scan_pool(pool, y, limit=2) == [cuts[2], cuts[0]]
-    pool.add(cuts[3])  # appended to the matrix of the last scan
-    assert C.scan_pool(pool, y) == [cuts[3], cuts[2], cuts[0], cuts[1]]
+    assert C.scan_pool(pool, y) == [2, 0, 1]
+    assert C.scan_pool(pool, y, limit=2) == [2, 0]
+    assert pool.add(cuts[3]) == 3  # appended to the matrix of the last scan
+    assert C.scan_pool(pool, y) == [3, 2, 0, 1]
 
 
 def test_cut_pool_keeps_rows_and_order_past_growth():
@@ -123,18 +132,26 @@ def test_cut_pool_keeps_rows_and_order_past_growth():
     cuts = [C.Cut.make({u: 1.0, v: 1.0}, 1.0, C.PARALLEL_EDGE) for u, v in pairs]
     pool = C.CutPool(n)
     pool.add(cuts[0])
-    first = pool.row(cuts[0]).copy()
-    for cut in cuts[1:]:
-        assert pool.add(cut)
+    first = pool.dense([0])[0].copy()
+    for i, cut in enumerate(cuts[1:], 1):
+        assert pool.add(cut) == i
     assert len(pool) == len(cuts) > 64
-    assert np.array_equal(pool.row(cuts[0]), first)
-    for cut in cuts:
-        assert pool.row(cut).tolist() == [dict(cut.coeffs).get(v, 0.0) for v in range(n)]
+    assert np.array_equal(pool.dense([0])[0], first)
+    mat, rhs = pool.dense(slice(len(pool)))
+    assert mat.tolist() == [[dict(cut.coeffs).get(v, 0.0) for v in range(n)] for cut in cuts]
+    assert rhs.tolist() == [1.0] * len(cuts)
     # every pair is violated by 0.5, and the pairs with vertex 11, the last
     # added among them, by 0.75: those first, then the rest, each by age
     y = [0.75] * (n - 1) + [1.0]
-    expect = [c for c in cuts if 11 in dict(c.coeffs)] + [c for c in cuts if 11 not in dict(c.coeffs)]
+    expect = [i for i, c in enumerate(cuts) if 11 in dict(c.coeffs)]
+    expect += [i for i, c in enumerate(cuts) if 11 not in dict(c.coeffs)]
     assert C.scan_pool(pool, y, limit=len(cuts)) == expect
+    # the product sums in another order than Cut.violation, the reference
+    rng = random.Random(5)
+    z = [rng.random() for _ in range(n)]
+    rows = list(range(len(cuts)))[::-3]
+    want = [cuts[i].violation(z) for i in rows]
+    assert np.allclose(pool.violations(rows, z), want, rtol=0.0, atol=1e-12)
 
 
 def test_conflict_graph():

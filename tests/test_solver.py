@@ -1,5 +1,9 @@
+import importlib
 import itertools
 import random
+import shutil
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -325,6 +329,27 @@ def test_deterministic_across_runs():
     assert (a.lower_bound, a.stats["nodes"], a.best) == (b.lower_bound, b.stats["nodes"], b.best)
 
 
+def test_package_loads_under_another_name(tmp_path, monkeypatch):
+    # a second tree of the package, imported beside the first, solves alike:
+    # the package imports itself only by relative imports
+    shutil.copytree(Path(S.__file__).parent, tmp_path / "mbsp_copy", ignore=shutil.ignore_patterns("__pycache__"))
+    monkeypatch.syspath_prepend(str(tmp_path))
+    try:
+        copy = importlib.import_module("mbsp_copy.solver")
+        graph = importlib.import_module("mbsp_copy.graph")
+        assert Path(copy.__file__).parent == tmp_path / "mbsp_copy"
+        assert (copy.C.__name__, copy.LP.__name__) == ("mbsp_copy.cuts", "mbsp_copy.lp")
+        spec = I.RandomSpec(14, 0.5, seed=3, parallel_frac=0.5)
+        for mode in ("cycle", "standard"):
+            a = S.solve(I.generate(spec), S.SolveParams(branching=mode))
+            b = copy.solve(graph.build(14, I.generate(spec).edges), copy.SolveParams(branching=mode))
+            assert (b.status, b.lower_bound, b.upper_bound) == (a.status, a.lower_bound, a.upper_bound)
+            assert (b.stats["nodes"], b.best.v1, b.best.v2) == (a.stats["nodes"], a.best.v1, a.best.v2)
+    finally:
+        for name in [m for m in sys.modules if m.split(".")[0] == "mbsp_copy"]:
+            del sys.modules[name]
+
+
 # ---------------------------------------------------------------------------
 # metamorphic relations of the exact optimum
 
@@ -374,7 +399,7 @@ def test_heuristics_lie_below_the_optimum_and_the_root_bound_above(mode):
     rng = random.Random(47)
     for g in small_graphs(rng, 8, 12):
         opt = optimum(g, mode)
-        root = LP.solve(LP.LinearProgram([1.0] * g.n, [cut.row() for cut in C.initial_formulation(g)]))
+        root = LP.solve(LP.LinearProgram([1.0] * g.n, [(dict(cut.coeffs), "<=", cut.rhs) for cut in C.initial_formulation(g)]))
         assert opt <= root.objective_value + 1e-6
         assert grasp(g, GraspParams(max_iterations=5)).size() <= opt
         for strategy in (TreeStrategy.BFS, TreeStrategy.KRUSKAL_ADAPTIVE):
