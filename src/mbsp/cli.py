@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
+import contextlib
 import json
 import math
 import os
@@ -14,7 +14,7 @@ from . import instances as INST
 from . import solver as BC
 from .ggmz import StableSetParams, ggmz
 from .grasp import GraspParams, grasp
-from .graph import GraphError, is_balanced
+from .graph import is_balanced
 from .spanning import TreeStrategy
 
 
@@ -39,14 +39,32 @@ def _nonnegative(kind):
     return _checked(kind, lambda x: x >= 0, "non-negative")
 
 
-def _default_seed(args):
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    env = os.environ.get("MBSP_SEED")
+class InputError(Exception):
+    """An input or a path a command cannot use; run() prints it as one line."""
+
+
+@contextlib.contextmanager
+def _about(path):
+    """Report a failure to read or write path as an InputError naming it."""
     try:
-        return int(env) if env else 0
-    except ValueError:
-        raise SystemExit(f"mbsp: error: MBSP_SEED must be an integer: {env!r}") from None
+        yield
+    except (OSError, ValueError) as exc:  # ValueError: malformed or undecodable text
+        # an OSError's str repeats the path, its strerror does not
+        reason = exc.strerror if isinstance(exc, OSError) and exc.strerror else exc
+        raise InputError(f"{path}: {reason}") from None
+
+
+def _read(path):
+    with _about(path):
+        return INST.read(path)
+
+
+def _output(path):
+    """The stream a command writes to: the file at path, else stdout."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    with _about(path):
+        return open(path, "w")
 
 
 # the option each group requires, and the RandomSpec field it sets
@@ -59,21 +77,18 @@ def cmd_generate(args):
         args.usage_error(f"argument --{other}: not used by group {args.group}")
     if getattr(args, option) is None:
         args.usage_error(f"group {args.group} requires --{option}")
-    seed = _default_seed(args)
     try:
-        spec = INST.RandomSpec(args.n, args.d, seed, **{field: getattr(args, option)})
+        spec = INST.RandomSpec(args.n, args.d, args.seed, **{field: getattr(args, option)})
     except ValueError as exc:  # such as an n and d that leave no edge
-        return _input_error(exc)
+        raise InputError(exc) from None
     g = INST.generate(spec)
-    if args.out:
-        INST.write(g, args.out)
-    else:
-        sys.stdout.write(INST.format_instance(g))
+    with _output(args.out) as out:
+        out.write(INST.format_instance(g))
     return 0
 
 
 def cmd_check(args):
-    g = INST.read(args.instance)
+    g = _read(args.instance)
     w = is_balanced(g)
     if w is None:
         print("unbalanced")
@@ -82,11 +97,11 @@ def cmd_check(args):
     return 0
 
 
-def _heuristic(g, method, tree, time_limit, iterations, seed):
-    """Run the heuristic method ("ggmz" or "grasp") on g."""
+def _heuristic(g, method, args):
+    """Run the heuristic method ("ggmz" or "grasp") on g with the options in args."""
     if method == "ggmz":
-        return ggmz(g, TreeStrategy(tree), StableSetParams(time_limit_seconds=time_limit, seed=seed))
-    return grasp(g, GraspParams(max_iterations=iterations, time_limit_seconds=time_limit, seed=seed))
+        return ggmz(g, TreeStrategy(args.tree), StableSetParams(time_limit_seconds=args.time_limit, seed=args.seed))
+    return grasp(g, GraspParams(max_iterations=args.iterations, time_limit_seconds=args.time_limit, seed=args.seed))
 
 
 def _gap_pct(res):
@@ -98,10 +113,9 @@ def _gap_pct(res):
 
 
 def cmd_heuristic(args):
-    g = INST.read(args.instance)
-    seed = _default_seed(args)
+    g = _read(args.instance)
     t0 = time.monotonic()
-    p = _heuristic(g, args.method, args.tree, args.time_limit, args.iterations, seed)
+    p = _heuristic(g, args.method, args)
     elapsed = time.monotonic() - t0
     print(
         json.dumps(
@@ -130,13 +144,8 @@ def _result_json(res, elapsed):
 
 
 def cmd_solve(args):
-    g = INST.read(args.instance)
-    params = BC.SolveParams(
-        time_limit_seconds=args.time_limit,
-        max_cut_rounds=args.max_rounds,
-        max_cuts_per_round=args.max_cuts,
-        branching=args.branching,
-    )
+    g = _read(args.instance)
+    params = BC.SolveParams(time_limit_seconds=args.time_limit, branching=args.branching)
     t0 = time.monotonic()
     res = BC.solve(g, params)
     print(json.dumps(_result_json(res, time.monotonic() - t0)))
@@ -149,8 +158,7 @@ def cmd_solve(args):
 CSV_HEADER = "instance,n,m,m_minus,m_plus,m_parallel,method,time_s,status,lb,ub,gap_pct,nodes"
 
 
-def _bench_one(task):
-    name, g, method, tree, branching, time_limit, iterations, seed = task
+def _bench_one(name, g, method, args):
     # pairs with a negative edge and parallel pairs, each counted from both ends
     n_minus = sum(minus.bit_count() for _, minus in g.sign_masks) // 2
     n_par = sum((plus & minus).bit_count() for plus, minus in g.sign_masks) // 2
@@ -166,14 +174,11 @@ def _bench_one(task):
     }
     t0 = time.monotonic()
     if method != "bc":
-        p = _heuristic(g, method, tree, time_limit, iterations, seed)
+        p = _heuristic(g, method, args)
         base.update(status="heuristic", lb=p.size(), ub="", gap_pct="", nodes="")
     else:
         try:
-            res = BC.solve(
-                g,
-                BC.SolveParams(time_limit_seconds=time_limit, branching=branching),
-            )
+            res = BC.solve(g, BC.SolveParams(time_limit_seconds=args.time_limit, branching=args.branching))
         except Exception as exc:  # numerical failure recorded, bench continues
             base.update(status=f"error:{type(exc).__name__}", lb="", ub="", gap_pct="", nodes="")
             base["time_s"] = time.monotonic() - t0
@@ -213,43 +218,23 @@ def _aggregate(rows, omit_times=False):
 
 
 def cmd_bench(args):
-    seed = _default_seed(args)
-    paths = sorted(
-        os.path.join(args.dir, f) for f in os.listdir(args.dir) if not f.startswith(".")
-    )
+    with _about(args.dir):
+        paths = sorted(e.path for e in os.scandir(args.dir) if e.is_file() and not e.name.startswith("."))
     if not paths:
-        raise SystemExit(f"no instances in {args.dir}")
-    # every file is parsed before any run starts, so a malformed one stops
-    # the bench at once and is named
-    graphs = []
-    for path in paths:
-        try:
-            graphs.append((os.path.basename(path), INST.read(path)))
-        except (INST.ParseError, GraphError) as exc:
-            return _input_error(f"{path}: {exc}")
-    tasks = [
-        (name, g, method, args.tree, args.branching, args.time_limit, args.iterations, seed)
-        for name, g in graphs
-        for method in args.method
-    ]
-    if args.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_bench_one, tasks))
-    else:
-        rows = [_bench_one(t) for t in tasks]
-
-    out_lines = [CSV_HEADER]
-    for r in rows:
-        time_cell = "" if args.omit_times else f"{r['time_s']:.2f}"
-        out_lines.append(",".join(str(r[k]) if k != "time_s" else time_cell for k in CSV_HEADER.split(",")))
-    out_lines.append("")
-    out_lines.extend(_aggregate(rows, omit_times=args.omit_times))
-    text = "\n".join(out_lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        raise InputError(f"{args.dir}: no instances")
+    # every file is parsed, and the output opened, before any run starts, so
+    # a bad input or output path stops the bench at once and is named
+    graphs = [(os.path.basename(path), _read(path)) for path in paths]
+    methods = args.method or ["bc"]
+    with _output(args.out) as out:
+        rows = [_bench_one(name, g, method, args) for name, g in graphs for method in methods]
+        out_lines = [CSV_HEADER]
+        for r in rows:
+            time_cell = "" if args.omit_times else f"{r['time_s']:.2f}"
+            out_lines.append(",".join(str(r[k]) if k != "time_s" else time_cell for k in CSV_HEADER.split(",")))
+        out_lines.append("")
+        out_lines.extend(_aggregate(rows, omit_times=args.omit_times))
+        out.write("\n".join(out_lines) + "\n")
     return 0
 
 
@@ -266,7 +251,7 @@ def build_parser():
     p.add_argument("--d", type=fraction, required=True)
     p.add_argument("--ratio", type=ratio, help="group 1: |E-|/|E+|")
     p.add_argument("--parallel", type=fraction, help="group 2: parallel fraction of |E|")
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out")
     p.set_defaults(func=cmd_generate, usage_error=p.error)
 
@@ -280,15 +265,13 @@ def build_parser():
     p.add_argument("--tree", choices=trees, default="bfs", help="ggmz spanning strategy")
     p.add_argument("--iterations", type=_positive(int), default=100)
     p.add_argument("--time-limit", type=_positive(float), default=300.0)
-    p.add_argument("--seed", type=int)
+    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_heuristic)
 
     p = sub.add_parser("solve", help="exact branch-and-cut")
     p.add_argument("instance")
     p.add_argument("--time-limit", type=_nonnegative(float), default=3600.0)
     p.add_argument("--branching", choices=("cycle", "standard"), default="cycle")
-    p.add_argument("--max-rounds", type=_nonnegative(int), default=10)
-    p.add_argument("--max-cuts", type=_positive(int), default=100)
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("bench", help="run methods over an instance directory")
@@ -303,31 +286,20 @@ def build_parser():
     p.add_argument("--branching", choices=("cycle", "standard"), default="cycle")
     p.add_argument("--iterations", type=_positive(int), default=100)
     p.add_argument("--time-limit", type=_positive(float), default=3600.0)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--workers", type=_positive(int), default=1)
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--omit-times", action="store_true", help="blank time cells for byte-reproducible output")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=cmd_bench)
     return parser
 
 
-def _input_error(message):
-    # 2, because `check` already exits 1 for "unbalanced"
-    print(f"mbsp: error: {message}", file=sys.stderr)
-    return 2
-
-
 def run(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if getattr(args, "method", None) is None and args.command == "bench":
-        args.method = ["bc"]
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (INST.ParseError, GraphError) as exc:
-        if not hasattr(args, "instance"):
-            raise
-        return _input_error(f"{args.instance}: {exc}")
+    except InputError as exc:
+        print(f"mbsp: error: {exc}", file=sys.stderr)
+        return 2  # `check` already exits 1 for "unbalanced"
 
 
 def main():

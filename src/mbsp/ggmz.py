@@ -9,7 +9,6 @@ import time
 from dataclasses import dataclass
 
 from .graph import Bipartition, SignedGraph, UnionFind, bits, is_balanced
-from .graph import switch  # noqa: F401  (bench/test_bench.py reads mbsp.ggmz.switch)
 from .spanning import TreeStrategy, spanning_forest
 
 RCL_ALPHA = 0.3  # RCL width of the degree-greedy construction

@@ -85,7 +85,7 @@ def generate_balanced(n, density, seed) -> SignedGraph:
 
 class ParseError(ValueError):
     def __init__(self, message, line_no):
-        # args keep both values, so the error pickles (to and from workers)
+        # args keep both values, so a pickled or copied error keeps its line
         super().__init__(message, line_no)
         self.line_no = line_no
 

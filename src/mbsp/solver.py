@@ -13,6 +13,8 @@ from .graph import Bipartition, SignedGraph
 
 INT_TOL = 1e-6
 BINDING_TOL = 1e-6
+MAX_CUT_ROUNDS = 10  # cut rounds at a node before it branches on a fractional point
+MAX_CUTS_PER_ROUND = 100  # rows one round may add, from the pool or the separators
 
 CYCLE = "cycle"
 STANDARD = "standard"
@@ -25,8 +27,6 @@ PHASES = ("lp", "pool_scan", "sep_cycle", "lift", "sep_clique", "sep_hole", "rou
 @dataclass
 class SolveParams:
     time_limit_seconds: float = 3600.0
-    max_cut_rounds: int = 10
-    max_cuts_per_round: int = 100
     branching: str = CYCLE  # "cycle" | "standard"
 
     def __post_init__(self):
@@ -34,11 +34,6 @@ class SolveParams:
             raise ValueError(f"time_limit_seconds must be non-negative, got {self.time_limit_seconds}")
         if self.branching not in (CYCLE, STANDARD):
             raise ValueError(f"unknown branching mode {self.branching!r}")
-        # with no cuts a round cannot cut off an unbalanced integral point
-        if self.max_cuts_per_round < 1:
-            raise ValueError(f"max_cuts_per_round must be at least 1, got {self.max_cuts_per_round}")
-        if self.max_cut_rounds < 0:
-            raise ValueError(f"max_cut_rounds must be at least 0, got {self.max_cut_rounds}")
 
 
 @dataclass
@@ -46,7 +41,6 @@ class SearchNode:
     fixings: dict  # var -> 0 or 1
     extra_rows: list  # branching rows (coeffs, rel, rhs); a child's extends its parent's
     bound: float
-    depth: int
     cuts: tuple  # pool rows the cut loop starts from: the initial formulation at the root, else inherited
     basis: tuple = None  # (column statuses, {row name: status} of nonbasic rows); _build_lp names rows
 
@@ -85,7 +79,7 @@ def branch(node: SearchNode, y, binding_cuts, mode: str):
 
     def child(fixings, rows):
         # children inherit the node's bound, cuts and basis
-        return replace(node, fixings=fixings, extra_rows=list(rows), depth=node.depth + 1)
+        return replace(node, fixings=fixings, extra_rows=list(rows))
 
     children = []
     if cycle is None:
@@ -162,7 +156,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
     def note_cut(cut):
         stats["cuts_by_kind"][cut.kind] = stats["cuts_by_kind"].get(cut.kind, 0) + 1
 
-    root = SearchNode({}, [], float(g.n), 0, initial)
+    root = SearchNode({}, [], float(g.n), initial)
     counter = 0
     heap = [(-root.bound, counter, root)]
     status = "optimal"
@@ -228,7 +222,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
             # an integral point left open is unbalanced: separation must cut it off
             integral = _is_integral(y)
             stalled = prev_bound is not None and prev_bound - bound < 0.005
-            if (rounds >= params.max_cut_rounds or stalled) and not integral:
+            if (rounds >= MAX_CUT_ROUNDS or stalled) and not integral:
                 break
             prev_bound = bound
             if time.monotonic() >= deadline:
@@ -239,15 +233,15 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 prune = True
                 break
             # the pool scan is a matrix product, so it takes the array
-            new_rows = timed("pool_scan", C.scan_pool, pool, sol.values, params.max_cuts_per_round)
+            new_rows = timed("pool_scan", C.scan_pool, pool, sol.values, MAX_CUTS_PER_ROUND)
             if not new_rows:
-                cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, params.max_cuts_per_round)
+                cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, MAX_CUTS_PER_ROUND)
                 new_cuts = [timed("lift", C.lift_odd_negative_cycle, g, cut) for cut in cycles]
-                if parallel and len(new_cuts) < params.max_cuts_per_round:
-                    limit = params.max_cuts_per_round - len(new_cuts)
+                if parallel and len(new_cuts) < MAX_CUTS_PER_ROUND:
+                    limit = MAX_CUTS_PER_ROUND - len(new_cuts)
                     new_cuts += timed("sep_clique", C.separate_clique, g, y, limit=limit)
-                if parallel and len(new_cuts) < params.max_cuts_per_round:
-                    limit = params.max_cuts_per_round - len(new_cuts)
+                if parallel and len(new_cuts) < MAX_CUTS_PER_ROUND:
+                    limit = MAX_CUTS_PER_ROUND - len(new_cuts)
                     new_cuts += timed("sep_hole", C.separate_lifted_odd_hole, g, y, limit=limit)
                 new_rows = [pool.add(cut) for cut in new_cuts]
             if not new_rows:
@@ -278,7 +272,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         viol = pool.violations(active, sol.values).tolist()
         tight = tuple(i for i, v in zip(active, viol) if v >= -0.01)
         binding = [pool[i] for i, v in zip(active, viol) if abs(v) <= BINDING_TOL]
-        node = SearchNode(node.fixings, node.extra_rows, bound, node.depth, tight, basis)
+        node = SearchNode(node.fixings, node.extra_rows, bound, tight, basis)
         for child in timed("branch", branch, node, y, binding, params.branching):
             counter += 1
             heapq.heappush(heap, (-bound, counter, child))

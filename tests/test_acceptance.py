@@ -242,7 +242,7 @@ def test_criterion_6_branching_soundness():
         g = I.generate(spec)
         # standard branching from a random fractional point
         y = [rng.choice([0.3, 0.5, 0.7]) for _ in range(g.n)]
-        node = S.SearchNode({}, [], float(g.n), 0, ())
+        node = S.SearchNode({}, [], float(g.n), ())
         check_partition(g, node, S.branch(node, y, [], "standard"))
         standard_checked += 1
         # cycle branching from a point that makes some cycle cut binding

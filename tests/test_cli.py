@@ -50,33 +50,28 @@ def test_generate_group1_requires_ratio(capsys):
         (["--group", "1", "--n", "-5", "--d", "0.5", "--ratio", "1"], "n must be non-negative, got -5"),
         (["--group", "1", "--n", "1", "--d", "0.5", "--ratio", "1"], "density too low: no edges"),
         (["--group", "2", "--n", "4", "--d", "0.1", "--parallel", "0.5"], "density too low: no edges"),
+        (
+            ["--group", "1", "--n", "8", "--d", "0.5", "--ratio", "1", "--out", "{tmp}/none/g.mbsp"],
+            "{tmp}/none/g.mbsp: No such file or directory",
+        ),
     ],
-    ids=["negative-n", "no-edge-g1", "no-edge-g2"],
+    ids=["negative-n", "no-edge-g1", "no-edge-g2", "out-in-missing-dir"],
 )
-def test_generate_input_error_is_a_one_line_error(capsys, args, message):
-    code, out, err = run_cli(["generate"] + args, capsys)
+def test_generate_input_error_is_a_one_line_error(tmp_path, capsys, args, message):
+    code, out, err = run_cli(["generate"] + [a.format(tmp=tmp_path) for a in args], capsys)
     assert code == 2
     assert out == ""
-    assert err == f"mbsp: error: {message}\n"
+    assert err == f"mbsp: error: {message.format(tmp=tmp_path)}\n"
 
 
-def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
+def test_seed_defaults_to_zero_whatever_the_environment(capsys, monkeypatch):
     monkeypatch.setenv("MBSP_SEED", "11")
     code, out, _ = run_cli(
         ["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "1.0"],
         capsys,
     )
     assert code == 0
-    expect = I.generate(I.RandomSpec(8, 0.5, seed=11, neg_ratio=1.0))
-    got = I.parse_instance(out)
-    assert set(got.edges) == set(expect.edges)
-
-
-def test_seed_env_that_is_not_an_integer_is_a_one_line_error(capsys, monkeypatch):
-    monkeypatch.setenv("MBSP_SEED", "abc")
-    with pytest.raises(SystemExit) as exc:
-        cli.run(["generate", "--group", "1", "--n", "8", "--d", "0.5", "--ratio", "1.0"])
-    assert exc.value.code == "mbsp: error: MBSP_SEED must be an integer: 'abc'"
+    assert out == I.format_instance(I.generate(I.RandomSpec(8, 0.5, seed=0, neg_ratio=1.0)))
 
 
 def test_check_balanced(tmp_path, capsys):
@@ -95,32 +90,81 @@ def test_check_unbalanced(tmp_path, capsys):
     assert out.startswith("unbalanced")
 
 
-@pytest.mark.parametrize(
-    "text", ["p mbsp -1 0\n", "p mbsp 3 1\ne 1 4 +\n"], ids=["negative-n", "vertex-out-of-range"]
-)
+# an instance path that cannot be read: the bytes at it (None: nothing is
+# there, DIR: a directory), and the start of the reason its error gives
+DIR = object()
+BAD_INSTANCES = {
+    "negative-n": (b"p mbsp -1 0\n", "line 1: "),
+    "vertex-out-of-range": (b"p mbsp 3 1\ne 1 4 +\n", "line 2: "),
+    "undecodable": (b"p mbsp 2 0\n\xff\n", "'utf-8' codec can't decode"),
+    "missing": (None, "No such file or directory"),
+    "directory": (DIR, "Is a directory"),
+}
+
+
+def make_bad(path, case):
+    content, _ = BAD_INSTANCES[case]
+    if content is DIR:
+        path.mkdir()
+    elif content is not None:
+        path.write_bytes(content)
+    return path
+
+
+def assert_one_line_error(code, out, err, prefix):
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"mbsp: error: {prefix}")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize("case", list(BAD_INSTANCES))
 @pytest.mark.parametrize(
     "args", [["check"], ["heuristic", "--method", "ggmz"], ["solve"]], ids=lambda a: a[0]
 )
-def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, text, args):
-    path = tmp_path / "bad.mbsp"
-    path.write_text(text)
+def test_malformed_instance_is_a_one_line_error(tmp_path, capsys, case, args):
+    path = make_bad(tmp_path / "bad.mbsp", case)
     code, out, err = run_cli(args[:1] + [str(path)] + args[1:], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"mbsp: error: {path}: line ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    assert_one_line_error(code, out, err, f"{path}: {BAD_INSTANCES[case][1]}")
 
 
-@pytest.mark.parametrize("workers", ["1", "2"])
-def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers):
+@pytest.mark.parametrize(
+    "case",
+    ["vertex-out-of-range", "undecodable", "missing-dir", "dir-is-a-file", "empty-dir", "out-in-missing-dir"],
+)
+def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, monkeypatch, case):
+    # every bad path stops the bench before its first run
+    monkeypatch.setattr(cli, "_bench_one", lambda *args: pytest.fail("a run started"))
     d = make_suite(tmp_path)
-    bad = d / "g9-bad.mbsp"
-    bad.write_text("p mbsp 3 1\ne 1 4 +\n")
-    code, out, err = run_cli(["bench", "--dir", str(d), "--workers", workers], capsys)
-    assert code == 2
-    assert out == ""
-    assert err.startswith(f"mbsp: error: {bad}: line 2: ")
-    assert err.count("\n") == 1 and "Traceback" not in err
+    none = tmp_path / "none"
+    args = ["bench", "--dir", str(d)]
+    if case in BAD_INSTANCES:  # one bad file among good ones
+        path, reason = make_bad(d / "g9-bad.mbsp", case), BAD_INSTANCES[case][1]
+    elif case == "out-in-missing-dir":
+        path, reason = none / "bench.csv", "No such file or directory"
+        args += ["--out", str(path)]
+    else:  # a bad --dir
+        (tmp_path / "empty").mkdir()
+        path, reason = {
+            "missing-dir": (none, "No such file or directory"),
+            "dir-is-a-file": (d / "g1-1.mbsp", "Not a directory"),
+            "empty-dir": (tmp_path / "empty", "no instances"),
+        }[case]
+        args[2] = str(path)
+    code, out, err = run_cli(args, capsys)
+    assert_one_line_error(code, out, err, f"{path}: {reason}")
+
+
+def test_bench_skips_dotfiles_and_subdirectories(tmp_path, capsys):
+    d = make_suite(tmp_path)
+    args = ["bench", "--dir", str(d), "--method", "ggmz", "--omit-times"]
+    code, plain, _ = run_cli(args, capsys)
+    assert code == 0
+    (d / ".notes").write_bytes(b"\xff")
+    make_bad(d / "sub", "directory")
+    code, out, err = run_cli(args, capsys)
+    assert code == 0 and err == ""
+    assert out == plain
 
 
 @pytest.mark.parametrize(
@@ -133,11 +177,6 @@ def test_bench_malformed_instance_is_a_one_line_error(tmp_path, capsys, workers)
         ["bench", "--dir", "{d}", "--method", "ggmz", "--tree", "bogus"],
         ["bench", "--dir", "{d}", "--method", "grasp", "--iterations", "0"],
         ["bench", "--dir", "{d}", "--method", "grasp", "--time-limit", "0"],
-        ["bench", "--dir", "{d}", "--workers", "0"],
-        ["bench", "--dir", "{d}", "--workers", "-3"],
-        ["solve", "{g}", "--max-cuts", "0"],
-        ["solve", "{g}", "--max-cuts", "-3"],
-        ["solve", "{g}", "--max-rounds", "-1"],
         ["solve", "{g}", "--time-limit", "-1"],
         ["solve", "{g}", "--time-limit", "nan"],
         ["generate", "--group", "1", "--n", "8", "--ratio", "1", "--d", "1.5"],
@@ -276,13 +315,3 @@ def test_bench_writes_file(tmp_path, capsys):
     assert code == 0
     assert os.path.exists(out_path)
     assert open(out_path).read().startswith(cli.CSV_HEADER)
-
-
-def test_bench_parallel_workers_match_serial(tmp_path, capsys):
-    d = make_suite(tmp_path)
-    base = ["bench", "--dir", str(d), "--seed", "0", "--omit-times"]
-    code, serial, _ = run_cli(base, capsys)
-    assert code == 0
-    code, parallel, _ = run_cli(base + ["--workers", "2"], capsys)
-    assert code == 0
-    assert serial == parallel

@@ -103,26 +103,20 @@ def test_rejects_unknown_branching():
         S.SolveParams(branching="dive")
 
 
-@pytest.mark.parametrize(
-    "params", [{"max_cuts_per_round": 0}, {"max_cuts_per_round": -3}, {"max_cut_rounds": -1}]
-)
-def test_rejects_cut_limits_that_cannot_separate(params):
-    with pytest.raises(ValueError):
-        S.SolveParams(**params)
-
-
 @pytest.mark.parametrize("limit", [float("nan"), -1.0])
 def test_rejects_a_negative_or_nan_time_limit(limit):
     with pytest.raises(ValueError):
         S.SolveParams(time_limit_seconds=limit)
 
 
-def test_solves_with_the_smallest_cut_limits():
+def test_solves_with_the_smallest_cut_limits(monkeypatch):
     # one cut per round and no fractional cut rounds still end optimal: an
     # unbalanced integral point is always separated
+    monkeypatch.setattr(S, "MAX_CUT_ROUNDS", 0)
+    monkeypatch.setattr(S, "MAX_CUTS_PER_ROUND", 1)
     g = I.generate(I.RandomSpec(10, 0.6, seed=4, parallel_frac=0.5))
     opt, _ = I.brute_force(g)
-    r = S.solve(g, S.SolveParams(max_cut_rounds=0, max_cuts_per_round=1))
+    r = S.solve(g)
     assert r.status == "optimal" and r.lower_bound == opt
 
 
@@ -209,7 +203,7 @@ def test_numerical_error_stops_with_valid_bounds(monkeypatch, mode):
 def test_standard_branching_partitions_region():
     for seed in range(6):
         g = I.generate(I.RandomSpec(8, 0.6, seed=seed, neg_ratio=1.0))
-        node = S.SearchNode({0: 1}, [], float(g.n), 1, ())
+        node = S.SearchNode({0: 1}, [], float(g.n), ())
         y = [0.5] * g.n
         y[0] = 1.0
         children = S.branch(node, y, [], "standard")
@@ -243,7 +237,7 @@ def test_cycle_branching_partitions_region():
         ]
         if not binding:
             continue
-        node = S.SearchNode({}, [], float(g.n), 0, ())
+        node = S.SearchNode({}, [], float(g.n), ())
         children = S.branch(node, y, binding, "cycle")
         assert len(children) in (2, 3)
         parent_sets = integral_feasible_sets(g, node.fixings, node.extra_rows)
@@ -273,8 +267,8 @@ def test_cycle_branching_adds_no_duplicate_row():
             continue
         # a node that already carries the row of the cycle it branches on,
         # as after branching on another cycle with the same C2
-        (row,) = S.branch(S.SearchNode({}, [], float(g.n), 0, ()), y, binding, "cycle")[-1].extra_rows
-        node = S.SearchNode({}, [row], float(g.n), 1, ())
+        (row,) = S.branch(S.SearchNode({}, [], float(g.n), ()), y, binding, "cycle")[-1].extra_rows
+        node = S.SearchNode({}, [row], float(g.n), ())
         children = S.branch(node, y, binding, "cycle")
         for child in children:
             assert child.extra_rows == [row]
