@@ -179,7 +179,7 @@ def _bench_one(name, g, method, args):
     else:
         try:
             res = BC.solve(g, BC.SolveParams(time_limit_seconds=args.time_limit, branching=args.branching))
-        except Exception as exc:  # numerical failure recorded, bench continues
+        except Exception as exc:  # a solver fault becomes an error row, and the bench goes on
             base.update(status=f"error:{type(exc).__name__}", lb="", ub="", gap_pct="", nodes="")
             base["time_s"] = time.monotonic() - t0
             return base

@@ -4,7 +4,7 @@ separation routines, lifting, the cut pool, and the rounding heuristic."""
 from __future__ import annotations
 
 import heapq
-from collections import deque
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -161,6 +161,18 @@ def _greedy_clique_cover(adj, min_size=2):
 # through s runs from node s*2 to node s*2 + 1.
 
 
+def _double_cover_arcs(g: SignedGraph, y):
+    """arcs[u] lists (v, parity_bit, weight), one per signed edge uv, with
+    the separation's weight (2 - y_u - y_v)/2 at y, clipped at 0."""
+    arcs = [[] for _ in range(g.n)]
+    for u, v, s in g.edges:
+        w = max(0.0, (2.0 - y[u] - y[v]) / 2.0)
+        bit = int(s == NEG)
+        arcs[u].append((v, bit, w))
+        arcs[v].append((u, bit, w))
+    return arcs
+
+
 def _trace_back(prev, node):
     """The walk from the search's source to node, following prev links."""
     walk = [node]
@@ -168,31 +180,6 @@ def _trace_back(prev, node):
         node = prev[node]
         walk.append(node)
     return walk[::-1]
-
-
-def _shortest_odd_walk_unit(arcs, start):
-    """BFS in the parity double cover; returns a shortest closed walk with an
-    odd number of negative edges through start, or None.
-
-    arcs[u] lists (v, parity_bit), one per signed edge uv.
-    """
-    source = start * 2
-    target = start * 2 + 1
-    prev = {source: None}
-    queue = deque([source])
-    while queue:
-        node = queue.popleft()
-        if node == target:
-            break
-        u, layer = divmod(node, 2)
-        for v, bit in arcs[u]:
-            nxt = v * 2 + (layer ^ bit)
-            if nxt not in prev:
-                prev[nxt] = node
-                queue.append(nxt)
-    if target not in prev:
-        return None
-    return _trace_back(prev, target)
 
 
 def _simple_odd_cycle(walk):
@@ -235,7 +222,10 @@ def _canonical_cycle(cycle):
 def initial_formulation(g: SignedGraph):
     """Seed cuts: clique cover of the conflict graph, one short odd negative
     cycle per vertex, and maximal negative cliques.  Returns a list of Cut,
-    the first cut per key."""
+    the first cut per key.
+
+    The cuts depend only on n and the edge set, not on the edges' order.
+    """
     cuts = {}
 
     def add(cut):
@@ -250,13 +240,11 @@ def initial_formulation(g: SignedGraph):
     # (b) one shortest odd negative closed walk per vertex, reduced to a
     # simple cycle; a cycle of length 2 is a parallel pair, which (a) covers.
     # A vertex with a parallel pair has that pair as its walk, so it is not
-    # searched.  The arcs keep edge order, which breaks the BFS's ties.
-    arcs = [[] for _ in range(g.n)]
-    for u, v, s in g.edges:
-        arcs[u].append((v, int(s == NEG)))
-        arcs[v].append((u, int(s == NEG)))
+    # searched.  At y = 0 every edge weighs 1, so the separation's search
+    # finds a walk of fewest edges; it needs no Floyd–Warshall filter.
+    arcs = _double_cover_arcs(g, [0.0] * g.n)
     for v in range(g.n):
-        walk = None if conf[v] else _shortest_odd_walk_unit(arcs, v)
+        walk = None if conf[v] else _dijkstra_odd_walk(g.n, arcs, v, math.inf)
         if walk is not None and len(cycle := _simple_odd_cycle(walk)) >= 3:
             add(_cycle_cut(_canonical_cycle(cycle)))
 
@@ -281,7 +269,12 @@ def _dijkstra_odd_walk(n, arcs, start, cutoff, togo=None):
     start*2 + 1 through the vertices that every walk under the cutoff stays
     in (_odd_walk_bounds); a node reached at a distance d with
     d + togo[node] >= cutoff + 1e-9 lies on no walk under the cutoff and is
-    not pushed.
+    not pushed.  With cutoff inf and no togo the search is unpruned.
+
+    The heap pops by (distance, node), and a node keeps the first
+    predecessor that reaches it at its distance.  So when each node's arcs
+    reach distinct nodes, as those of a signed graph do, the walk found does
+    not depend on the order of the arcs.
     """
     inf = float("inf")
     source = start * 2
@@ -382,14 +375,7 @@ def separate_odd_negative_cycle(g: SignedGraph, y, limit=100):
     walk of weight < 1 certifies a violated cycle after reduction to a simple
     cycle of no larger weight.
     """
-    arcs = [[] for _ in range(g.n)]
-    for u, v, s in g.edges:
-        w = max(0.0, (2.0 - y[u] - y[v]) / 2.0)
-        bit = int(s == NEG)
-        arcs[u].append((v, bit, w))
-        arcs[v].append((u, bit, w))
-    for lst in arcs:
-        lst.sort()
+    arcs = _double_cover_arcs(g, y)
     # Any closed walk through u weighs at least 1 - y_u - e, where
     # e = max(0, max(y) - 1) is how far LP values exceed 1: its two arcs at u
     # weigh at least (2 - y_u - y_w)/2 >= (1 - y_u - e)/2 each, and no arc

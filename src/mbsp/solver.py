@@ -15,6 +15,12 @@ INT_TOL = 1e-6
 BINDING_TOL = 1e-6
 MAX_CUT_ROUNDS = 10  # cut rounds at a node before it branches on a fractional point
 MAX_CUTS_PER_ROUND = 100  # rows one round may add, from the pool or the separators
+# a row whose slack exceeds DROP_SLACK leaves the node's LP, and a child
+# inherits the rows within INHERIT_SLACK; slacks at LP vertices often sit
+# exactly on 0.1 or 0.01, and the margin keeps such a row whatever the last
+# bit of its product
+DROP_SLACK = 0.1 + 1e-9
+INHERIT_SLACK = 0.01 + 1e-9
 
 CYCLE = "cycle"
 STANDARD = "standard"
@@ -250,7 +256,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 # rows gone slack at the current point only pad the tableau;
                 # the pool re-supplies any that become violated again
                 viol = pool.violations(active, sol.values).tolist()
-                active = [i for i, v in zip(active, viol) if v >= -0.1]
+                active = [i for i, v in zip(active, viol) if v >= -DROP_SLACK]
             in_active = set(active)
             fresh = [i for i in dict.fromkeys(new_rows) if i not in in_active]
             if not fresh:
@@ -270,7 +276,7 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
         # children inherit only the cuts still doing work at this node's point;
         # anything dropped stays in the pool and can return via scan_pool
         viol = pool.violations(active, sol.values).tolist()
-        tight = tuple(i for i, v in zip(active, viol) if v >= -0.01)
+        tight = tuple(i for i, v in zip(active, viol) if v >= -INHERIT_SLACK)
         binding = [pool[i] for i, v in zip(active, viol) if abs(v) <= BINDING_TOL]
         node = SearchNode(node.fixings, node.extra_rows, bound, tight, basis)
         for child in timed("branch", branch, node, y, binding, params.branching):

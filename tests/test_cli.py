@@ -6,6 +6,7 @@ import pytest
 from mbsp import cli
 from mbsp import graph as G
 from mbsp import instances as I
+from mbsp import solver as S
 
 import adjacency as A
 
@@ -254,6 +255,27 @@ def test_solve_standard_branching(tmp_path, capsys):
     code, out, _ = run_cli(["solve", str(path), "--branching", "standard"], capsys)
     assert code == 0
     assert json.loads(out)["lb"] == opt
+
+
+@pytest.mark.parametrize("branching", ["cycle", "standard"])
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (["--group", "1", "--ratio", "1"], I.RandomSpec(20, 0.5, seed=1, neg_ratio=1.0)),
+        (["--group", "2", "--parallel", "0.25"], I.RandomSpec(20, 0.5, seed=1, parallel_frac=0.25)),
+    ],
+    ids=["group1", "group2"],
+)
+def test_solve_of_a_generated_file_searches_as_the_library(tmp_path, capsys, flags, spec, branching):
+    # the file lists the edges sorted, the generator in its own order
+    path = tmp_path / "g.mbsp"
+    code, _, _ = run_cli(["generate", *flags, "--n", "20", "--d", "0.5", "--seed", "1", "--out", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["solve", str(path), "--branching", branching], capsys)
+    assert code == 0
+    res = S.solve(I.generate(spec), S.SolveParams(branching=branching))
+    data = json.loads(out)
+    assert (data["lb"], data["nodes"]) == (res.lower_bound, res.stats["nodes"])
 
 
 def make_suite(tmp_path):

@@ -212,9 +212,9 @@ def reference_clique_cover(adj, min_size):
 def reference_initial_formulation(g):
     """initial_formulation as it was before one dict took over its dedupe:
     an emitted-key set, the odd-walk search from every vertex, a set of
-    canonical cycles and a cap of 2n cycle rows; adjacency from the edge
-    list, each neighbour at its first edge, the positive arc of a parallel
-    pair first."""
+    canonical cycles and a cap of 2n cycle rows; unit-weight arcs from the
+    edge list, each neighbour at its first edge, the positive arc of a
+    parallel pair first."""
     cuts = []
     emitted = set()
 
@@ -233,11 +233,11 @@ def reference_initial_formulation(g):
 
     cycle_rows = 0
     seen_cycles = set()
-    arcs = [[(v, int(s == G.NEG)) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in A.signs(g)]
+    arcs = [[(v, int(s == G.NEG), 1.0) for v, ss in nbrs.items() for s in sorted(ss)] for nbrs in A.signs(g)]
     for v in range(g.n):
         if cycle_rows >= 2 * g.n:
             break
-        walk = C._shortest_odd_walk_unit(arcs, v)
+        walk = C._dijkstra_odd_walk(g.n, arcs, v, math.inf)
         if walk is None:
             continue
         cycle = C._simple_odd_cycle(walk)
@@ -282,17 +282,34 @@ def test_initial_odd_walk_search_skips_vertices_with_a_parallel_pair(monkeypatch
     # clique cover already covers
     g = I.generate(I.RandomSpec(30, 0.3, seed=1, parallel_frac=0.1))
     starts = []
-    search = C._shortest_odd_walk_unit
+    search = C._dijkstra_odd_walk
 
-    def recording(arcs, start):
+    def recording(n, arcs, start, *args):
         starts.append(start)
-        return search(arcs, start)
+        return search(n, arcs, start, *args)
 
-    monkeypatch.setattr(C, "_shortest_odd_walk_unit", recording)
+    monkeypatch.setattr(C, "_dijkstra_odd_walk", recording)
     cuts = C.initial_formulation(g)
     free = [v for v in range(g.n) if not A.conflicts(g)[v]]
     assert starts == free and 0 < len(free) < g.n
     assert any(cut.kind == C.ODD_NEG_CYCLE for cut in cuts)
+
+
+def test_odd_walk_cuts_do_not_depend_on_the_order_of_the_edges():
+    # the initial formulation, and the exact separation at LP-like points
+    rng = random.Random(23)
+    for seed in range(40):
+        g = I.generate(
+            I.RandomSpec(20, 0.5, seed=seed, neg_ratio=1.0)
+            if seed % 2
+            else I.RandomSpec(20, 0.5, seed=seed, parallel_frac=0.25)
+        )
+        edges = list(g.edges)
+        rng.shuffle(edges)
+        h = G.SignedGraph(g.n, tuple(edges))
+        assert C.initial_formulation(h) == C.initial_formulation(g)
+        y = [rng.choice([0.0, 0.5, 1.0, rng.random()]) for _ in range(g.n)]
+        assert C.separate_odd_negative_cycle(h, y) == C.separate_odd_negative_cycle(g, y)
 
 
 def test_exact_separation_completeness():

@@ -293,7 +293,7 @@ def test_stats_are_populated():
     assert r.stats["lp_pivots"] >= 1
     # with branching, every LP after the root's first starts warm from the
     # last basis of its cut loop or of its parent
-    r = S.solve(I.generate(I.RandomSpec(20, 0.5, seed=2, neg_ratio=1.0)))
+    r = S.solve(I.generate(I.RandomSpec(20, 0.5, seed=1, neg_ratio=1.0)))
     assert r.stats["nodes"] > 1
     assert r.stats["lp_cold_starts"] == 1
     assert r.stats["lp_pivots"] >= 1
@@ -321,6 +321,48 @@ def test_deterministic_across_runs():
     a = S.solve(g)
     b = S.solve(g)
     assert (a.lower_bound, a.stats["nodes"], a.best) == (b.lower_bound, b.stats["nodes"], b.best)
+
+
+def signature(r):
+    """Everything a solve reports but its times."""
+    stats = r.stats
+    counts = (stats["nodes"], stats["lp_solves"], stats["lp_pivots"], stats["lp_cold_starts"], stats["cuts_by_kind"])
+    return r.status, r.lower_bound, r.upper_bound, counts, r.best
+
+
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_solve_does_not_depend_on_the_order_of_the_edges(mode):
+    # the same graph with its edges shuffled, and sorted as instance files
+    # list them, gets the same search
+    params = S.SolveParams(branching=mode)
+    for seed in range(1, 6):
+        for spec in (I.RandomSpec(20, 0.5, seed=seed, neg_ratio=1.0), I.RandomSpec(20, 0.5, seed=seed, parallel_frac=0.25)):
+            g = I.generate(spec)
+            edges = list(g.edges)
+            random.Random(seed).shuffle(edges)
+            expected = signature(S.solve(g, params))
+            for order in (edges, sorted(edges)):
+                assert signature(S.solve(G.SignedGraph(g.n, tuple(order)), params)) == expected, spec
+
+
+NOISE_SPECS = [I.RandomSpec(30, 0.75, seed=1, parallel_frac=0.25)] + [
+    I.RandomSpec(25, d, seed=seed, neg_ratio=r) for seed in (1, 2) for d in (0.25, 0.5, 0.75) for r in (0.5, 1.0, 2.0)
+]
+
+
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_slack_thresholds_ignore_the_last_bit_of_a_violation(monkeypatch, mode):
+    # slacks at LP vertices sit on the drop and inheritance thresholds; a
+    # shift of one or two ulps in every violation must move no decision
+    params = S.SolveParams(branching=mode)
+    violations = C.CutPool.violations
+    for spec in NOISE_SPECS:
+        g = I.generate(spec)
+        expected = signature(S.solve(g, params))
+        for eps in (4e-16, -4e-16):
+            monkeypatch.setattr(C.CutPool, "violations", lambda pool, rows, y, eps=eps: violations(pool, rows, y) + eps)
+            assert signature(S.solve(g, params)) == expected, (spec, eps)
+            monkeypatch.setattr(C.CutPool, "violations", violations)
 
 
 def test_package_loads_under_another_name(tmp_path, monkeypatch):
