@@ -240,8 +240,9 @@ def initial_formulation(g: SignedGraph):
     # (b) one shortest odd negative closed walk per vertex, reduced to a
     # simple cycle; a cycle of length 2 is a parallel pair, which (a) covers.
     # A vertex with a parallel pair has that pair as its walk, so it is not
-    # searched.  At y = 0 every edge weighs 1, so the separation's search
-    # finds a walk of fewest edges; it needs no Floyd–Warshall filter.
+    # searched.  At y = 0 every edge weighs 1, so the separation's search,
+    # with no cutoff and so no Floyd–Warshall bounds, finds a walk of fewest
+    # edges.
     arcs = _double_cover_arcs(g, [0.0] * g.n)
     for v in range(g.n):
         walk = None if conf[v] else _dijkstra_odd_walk(g.n, arcs, v, math.inf)
