@@ -19,12 +19,12 @@ class SignedGraph:
     """Undirected signed graph on vertices 0..n-1.
 
     Parallel edges are allowed only as a +/- pair on the same vertex pair;
-    loops are rejected.  Instances are immutable after construction and safe
-    to share between solver runs.
+    loops are rejected.  build lists each edge set one way, so == is graph
+    equality.  Instances are immutable and safe to share between solver runs.
     """
 
     n: int
-    edges: tuple  # tuple of (u, v, sign) with u < v, deduplicated
+    edges: tuple  # the sorted edge set: (u, v, sign) with int ids u < v
 
     @property
     def m(self) -> int:
@@ -47,15 +47,16 @@ class SignedGraph:
 
 
 def build(n, edge_list) -> SignedGraph:
-    """Construct a SignedGraph, normalizing pairs to u < v.
-
-    Identical (pair, sign) entries are deduplicated silently; loops raise.
-    """
+    """The SignedGraph with the edges (u, v, sign), stored as their sorted
+    set with u < v whatever the input's order.  n and the ids go through
+    operator.index (numpy integers become ints, a float raises TypeError);
+    loops, ids outside 0..n-1 and bad signs raise GraphError."""
+    n = operator.index(n)
     if n < 0:
         raise GraphError(f"negative vertex count {n}")
-    seen = set()
-    edges = []
+    edges = set()
     for u, v, s in edge_list:
+        u, v = operator.index(u), operator.index(v)
         if u == v:
             raise GraphError(f"loop edge ({u},{v}) not allowed")
         if not (0 <= u < n and 0 <= v < n):
@@ -64,11 +65,8 @@ def build(n, edge_list) -> SignedGraph:
             raise GraphError(f"bad sign {s!r}")
         if u > v:
             u, v = v, u
-        key = (u, v, s)
-        if key not in seen:
-            seen.add(key)
-            edges.append(key)
-    return SignedGraph(n, tuple(edges))
+        edges.add((u, v, s))
+    return SignedGraph(n, tuple(sorted(edges)))
 
 
 def switch(g: SignedGraph, w) -> SignedGraph:
@@ -79,7 +77,7 @@ def switch(g: SignedGraph, w) -> SignedGraph:
         if (u in w) != (v in w):
             s = NEG if s == POS else POS
         edges.append((u, v, s))
-    return SignedGraph(g.n, tuple(edges))
+    return build(g.n, edges)
 
 
 def induced(g: SignedGraph, s) -> tuple:
@@ -90,15 +88,23 @@ def induced(g: SignedGraph, s) -> tuple:
     """
     vmap = sorted(s)
     index = {v: i for i, v in enumerate(vmap)}
-    edges = tuple(
-        (index[u], index[v], sg) for u, v, sg in g.edges if u in index and v in index
-    )
-    return SignedGraph(len(vmap), edges), vmap
+    edges = ((index[u], index[v], sg) for u, v, sg in g.edges if u in index and v in index)
+    return build(len(vmap), edges), vmap
 
 
 def negative_part(g: SignedGraph) -> SignedGraph:
     """Keep exactly the negative edges (one per negative pair)."""
-    return SignedGraph(g.n, tuple(e for e in g.edges if e[2] == NEG))
+    return build(g.n, (e for e in g.edges if e[2] == NEG))
+
+
+def _vertex_mask(n, vertices) -> int:
+    """The bitmask of vertices (numpy ints too); GraphError outside 0..n-1."""
+    mask = 0
+    for v in map(operator.index, vertices):
+        if not 0 <= v < n:
+            raise GraphError(f"vertex {v} out of range for n = {n}")
+        mask |= 1 << v
+    return mask
 
 
 def is_balanced(g: SignedGraph, subset=None):
@@ -110,14 +116,7 @@ def is_balanced(g: SignedGraph, subset=None):
     sign bitmasks per component from its lowest vertex, which goes on side
     0: a positive neighbour joins u's side and a negative one the other.
     """
-    if subset is None:
-        inside = (1 << g.n) - 1
-    else:
-        inside = 0
-        for v in map(operator.index, subset):  # ints, numpy's among them
-            if not 0 <= v < g.n:
-                raise GraphError(f"vertex {v} out of range for n = {g.n}")
-            inside |= 1 << v
+    inside = (1 << g.n) - 1 if subset is None else _vertex_mask(g.n, subset)
     masks = g.sign_masks
     sides = [0, 0]  # the labelled vertices on side 0 and side 1
     left = inside  # not labelled yet
@@ -225,18 +224,17 @@ class Bipartition:
 
 
 def is_feasible(g: SignedGraph, p: Bipartition) -> bool:
-    """Check that (v1, v2) witnesses a balanced induced subgraph.
-
-    Internal edges of each side must be positive-only pairs, cross edges
-    negative-only pairs, and no parallel pair may be fully selected.
-    """
-    sel = p.selected
-    for u, v, s in g.edges:
-        if u not in sel or v not in sel:
-            continue
-        same = (u in p.v1) == (v in p.v1)
-        if same and s == NEG:
-            return False
-        if not same and s == POS:
-            return False
+    """Check that (v1, v2) witnesses a balanced induced subgraph of g: both
+    sides lie in 0..n-1, no negative edge joins two vertices of one side and
+    no positive edge joins the sides (so no parallel pair is fully selected)."""
+    try:
+        s1, s2 = _vertex_mask(g.n, p.v1), _vertex_mask(g.n, p.v2)
+    except GraphError:
+        return False
+    masks = g.sign_masks
+    for members, here, there in ((p.v1, s1, s2), (p.v2, s2, s1)):
+        for v in members:
+            plus, minus = masks[v]
+            if minus & here or plus & there:
+                return False
     return True

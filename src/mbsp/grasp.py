@@ -12,7 +12,7 @@ import random
 import time
 from dataclasses import dataclass
 from itertools import accumulate
-from operator import or_
+from operator import index, or_
 
 from .graph import Bipartition, GraphError, SignedGraph, bits, is_feasible
 
@@ -24,6 +24,7 @@ class GraspParams:
     seed: int = 0
 
     def __post_init__(self):
+        self.max_iterations = index(self.max_iterations)  # a float raises TypeError
         if self.max_iterations <= 0 or not self.time_limit_seconds > 0:  # also rejects NaN
             raise ValueError("limits must be positive")
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 
@@ -27,6 +28,7 @@ class RandomSpec:
     def __post_init__(self):
         if (self.neg_ratio is None) == (self.parallel_frac is None):
             raise ValueError("set exactly one of neg_ratio / parallel_frac")
+        object.__setattr__(self, "n", operator.index(self.n))  # a float n raises TypeError
         # each check is written so that NaN fails it
         if not self.n >= 0:
             raise ValueError(f"n must be non-negative, got {self.n}")
@@ -101,8 +103,9 @@ def write(g: SignedGraph, path):
 
 
 def format_instance(g: SignedGraph) -> str:
+    """The header, then one line per edge in g.edges order, which is sorted."""
     lines = [f"p mbsp {g.n} {g.m}"]
-    for u, v, s in sorted(g.edges):
+    for u, v, s in g.edges:
         lines.append(f"e {u + 1} {v + 1} {s}")
     return "\n".join(lines) + "\n"
 

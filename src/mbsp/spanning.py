@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import NEG, POS, SignedGraph, UnionFind, bits
+from .graph import NEG, POS, SignedGraph, UnionFind, bits, build
 
 
 class TreeStrategy(enum.Enum):
@@ -36,7 +36,7 @@ _FIXED_COSTS = {
 def _edge_costs(g: SignedGraph, edges, strategy: TreeStrategy, rng) -> list:
     """Costs of the signed edges (u, v, sign) of g under a Kruskal strategy,
     in one pass; KRUSKAL_RANDOM draws one rng.randint(0, 1000) per edge, in
-    order."""
+    the order of edges (for the forest, g.edges: the sorted edge set)."""
     if strategy not in KRUSKAL_STRATEGIES:
         raise ValueError(f"{strategy} has no edge costs")
     if strategy is TreeStrategy.KRUSKAL_RANDOM:
@@ -64,24 +64,23 @@ def edge_cost(g: SignedGraph, e, strategy: TreeStrategy, rng) -> int:
 def spanning_forest(g: SignedGraph, strategy: TreeStrategy, rng=None) -> SignedGraph:
     """Spanning forest of g (one tree per component), same vertex set.
 
-    Kruskal variants build a minimum-cost forest under edge_cost with ties
-    broken by edge input order, and stop at n - 1 edges.  BFS/DFS walk the
-    neighbour bitmasks of g.sign_masks: each starts at the lowest-index
-    unvisited vertex and visits neighbors in index order; for a parallel
-    pair the positive copy is taken into the tree.
+    Kruskal variants build a minimum-cost forest under edge_cost, breaking
+    ties and drawing KRUSKAL_RANDOM's costs in g.edges order (sorted), and
+    stop at n - 1 edges.  BFS/DFS walk the neighbour bitmasks of g.sign_masks:
+    each starts at the lowest-index unvisited vertex and visits neighbors in
+    index order; for a parallel pair the positive copy is taken into the tree.
     """
     if strategy in KRUSKAL_STRATEGIES:
-        edges = g.edges
-        costs = _edge_costs(g, edges, strategy, rng)
+        costs = _edge_costs(g, g.edges, strategy, rng)
         components = UnionFind(g.n)
         forest = []
-        for i in sorted(range(len(edges)), key=costs.__getitem__):  # stable: ties by index
+        for i in sorted(range(g.m), key=costs.__getitem__):  # stable: ties in g.edges order
             if len(forest) == g.n - 1:
                 break
-            e = edges[i]
+            e = g.edges[i]
             if components.union(e[0], e[1]):
                 forest.append(e)
-        return SignedGraph(g.n, tuple(sorted(forest)))
+        return build(g.n, forest)
     return _search_forest(g, depth_first=strategy is TreeStrategy.DFS)
 
 
@@ -91,10 +90,8 @@ def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
     unvisited = (1 << g.n) - 1
     forest = []
 
-    def edge(parent, v):
-        # the positive copy of a parallel pair goes into the tree
-        sign = POS if masks[parent][0] >> v & 1 else NEG
-        return (parent, v, sign) if parent < v else (v, parent, sign)
+    def edge(parent, v):  # the positive copy of a parallel pair goes into the tree
+        return parent, v, POS if masks[parent][0] >> v & 1 else NEG
 
     while unvisited:
         root = (unvisited & -unvisited).bit_length() - 1
@@ -121,4 +118,4 @@ def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
                 for v in bits(fresh):
                     forest.append(edge(u, v))
                     queue.append(v)
-    return SignedGraph(g.n, tuple(sorted(forest)))
+    return build(g.n, forest)

@@ -7,6 +7,8 @@ from mbsp import cli
 from mbsp import graph as G
 from mbsp import instances as I
 from mbsp import solver as S
+from mbsp.ggmz import StableSetParams, ggmz
+from mbsp.spanning import TreeStrategy
 
 import adjacency as A
 
@@ -267,7 +269,6 @@ def test_solve_standard_branching(tmp_path, capsys):
     ids=["group1", "group2"],
 )
 def test_solve_of_a_generated_file_searches_as_the_library(tmp_path, capsys, flags, spec, branching):
-    # the file lists the edges sorted, the generator in its own order
     path = tmp_path / "g.mbsp"
     code, _, _ = run_cli(["generate", *flags, "--n", "20", "--d", "0.5", "--seed", "1", "--out", str(path)], capsys)
     assert code == 0
@@ -276,6 +277,28 @@ def test_solve_of_a_generated_file_searches_as_the_library(tmp_path, capsys, fla
     res = S.solve(I.generate(spec), S.SolveParams(branching=branching))
     data = json.loads(out)
     assert (data["lb"], data["nodes"]) == (res.lower_bound, res.stats["nodes"])
+
+
+@pytest.mark.parametrize("tree", [s.value for s in TreeStrategy])
+@pytest.mark.parametrize(
+    "flags, spec",
+    [
+        (["--group", "1", "--ratio", "1"], I.RandomSpec(30, 0.5, seed=1, neg_ratio=1.0)),
+        (["--group", "2", "--parallel", "0.25"], I.RandomSpec(30, 0.5, seed=1, parallel_frac=0.25)),
+    ],
+    ids=["group1", "group2"],
+)
+def test_ggmz_on_a_generated_file_finds_the_library_set(tmp_path, capsys, flags, spec, tree):
+    # the Kruskal forests break cost ties in edge order, which must not
+    # differ between the generator's graph and the file's
+    path = tmp_path / "g.mbsp"
+    code, _, _ = run_cli(["generate", *flags, "--n", "30", "--d", "0.5", "--seed", "1", "--out", str(path)], capsys)
+    assert code == 0
+    code, out, _ = run_cli(["heuristic", str(path), "--method", "ggmz", "--tree", tree], capsys)
+    assert code == 0
+    p = ggmz(I.generate(spec), TreeStrategy(tree), StableSetParams())
+    data = json.loads(out)
+    assert (data["value"], data["v1"], data["v2"]) == (p.size(), sorted(v + 1 for v in p.v1), sorted(v + 1 for v in p.v2))
 
 
 def make_suite(tmp_path):

@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import numpy as np
 import pytest
@@ -39,9 +40,33 @@ def test_build_normalizes_and_counts():
     g = G.build(4, [(2, 0, "+"), (0, 1, "-"), (0, 2, "-")])
     assert g.n == 4
     assert g.m == 3
-    assert g.edges == ((0, 2, "+"), (0, 1, "-"), (0, 2, "-"))
+    assert g.edges == ((0, 1, "-"), (0, 2, "+"), (0, 2, "-"))  # sorted
     # (plus, minus) neighbour bitmasks; pair 02 carries both signs
     assert g.sign_masks == ((0b100, 0b110), (0, 0b001), (0b001, 0b001), (0, 0))
+
+
+def test_build_lists_the_edge_set_one_way():
+    # pairs (u, u + 1) and (u, u + 70), both signs at even u, negative at odd u
+    edges = [(u, v, s) for u in range(100) for v in (u + 1, u + 70) if v < 100 for s in "+-"[u % 2 :]]
+    shuffled = random.Random(1).sample(edges, len(edges))
+    flipped_and_repeated = [(v, u, s) for u, v, s in edges] + edges
+    numpy_ids = [(np.int64(u), np.int32(v), s) for u, v, s in shuffled]
+    g = G.build(100, sorted(edges))
+    assert g.edges == tuple(sorted(edges))
+    for other in (shuffled, flipped_and_repeated, numpy_ids):
+        h = G.build(np.int64(100), other)
+        assert h == g
+        assert all(type(x) is int for u, v, _ in h.edges for x in (u, v)) and type(h.n) is int
+    # the masks of numpy ids above bit 63 are Python ints with every bit
+    h = G.build(100, numpy_ids)
+    assert h.sign_masks[0][1] >> 70 & 1 and G.is_balanced(h) is None
+
+
+def test_build_rejects_ids_that_are_not_integers():
+    with pytest.raises(TypeError):
+        G.build(3, [(0, 1.0, "+")])
+    with pytest.raises(TypeError):
+        G.build(3.0, [(0, 1, "+")])
 
 
 def test_build_rejects_bad_input():
@@ -244,6 +269,15 @@ def test_is_feasible():
     assert not G.is_feasible(g, G.Bipartition(frozenset({1, 2}), frozenset()))
     # positive edge across sides is infeasible
     assert not G.is_feasible(g, G.Bipartition(frozenset({0}), frozenset({1})))
+
+
+def test_is_feasible_rejects_vertices_outside_the_graph():
+    g = G.build(3, [(0, 1, "+")])
+    assert G.is_feasible(g, G.Bipartition({0, 1}, {2}))
+    assert not G.is_feasible(g, G.Bipartition({0, 1, 7}, {-2}))
+    assert not G.is_feasible(g, G.Bipartition({0, 1, 3}, set()))
+    assert not G.is_feasible(g, G.Bipartition({0}, {-1}))
+    assert G.is_feasible(g, G.Bipartition({np.int64(0), np.int64(1)}, {np.int64(2)}))
 
 
 def test_is_feasible_rejects_parallel_pair_both_selected():

@@ -3,6 +3,7 @@ import random
 import time
 from itertools import combinations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -284,6 +285,12 @@ def test_bases_equal_states_rebuilt_without_each_removed_set(gp):
 def test_params_reject_limits_that_are_not_positive(params):
     with pytest.raises(ValueError):
         GR.GraspParams(**params)
+
+
+def test_params_take_an_integer_iteration_count():
+    with pytest.raises(TypeError):
+        GR.GraspParams(max_iterations=2.5)
+    assert type(GR.GraspParams(max_iterations=np.int64(3)).max_iterations) is int
 
 
 def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():

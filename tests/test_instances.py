@@ -41,6 +41,8 @@ def test_spec_validation():
     for n in (-5, -1):
         with pytest.raises(ValueError, match="n must be non-negative"):
             I.RandomSpec(n, 0.5, seed=0, neg_ratio=1.0)
+    with pytest.raises(TypeError):
+        I.RandomSpec(10.5, 0.5, seed=1, neg_ratio=1.0)
     # the ends of each range are accepted
     I.RandomSpec(10, 1.0, seed=0, neg_ratio=0.0)
     I.RandomSpec(10, 1.0, seed=0, parallel_frac=1.0)

@@ -107,7 +107,7 @@ def test_adaptive_picks_by_sign_ratio():
     mostly_neg = G.build(3, [(0, 1, "-"), (1, 2, "-"), (0, 2, "+")])
     e = mostly_pos.edges[0]  # a positive edge
     assert SP.edge_cost(mostly_pos, e, SP.TreeStrategy.KRUSKAL_ADAPTIVE, None) == 3  # f1
-    e = mostly_neg.edges[2]  # the positive edge
+    e = (0, 2, "+")  # the positive edge
     assert SP.edge_cost(mostly_neg, e, SP.TreeStrategy.KRUSKAL_ADAPTIVE, None) == 1  # f2
 
 
