@@ -13,9 +13,9 @@ from .graph import (
     negative_part,
     switch,
 )
-from .spanning import TreeStrategy, edge_cost, spanning_forest
+from .spanning import TreeStrategy, spanning_forest
 from .ggmz import StableSetParams, stable_set_grasp, switch_set_from_forest
-from .grasp import GraspParams, candidates, construct, local_search
+from .grasp import GraspParams, construct, local_search
 from .lp import LinearProgram, LpSolution, NumericalError, add_rows_and_resolve
 from .instances import RandomSpec, brute_force, generate, generate_balanced, read, write
 from .solver import SolveParams, SolveResult, solve
@@ -33,13 +33,11 @@ __all__ = [
     "negative_part",
     "switch",
     "TreeStrategy",
-    "edge_cost",
     "spanning_forest",
     "StableSetParams",
     "stable_set_grasp",
     "switch_set_from_forest",
     "GraspParams",
-    "candidates",
     "construct",
     "local_search",
     "LinearProgram",

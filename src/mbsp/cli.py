@@ -100,7 +100,7 @@ def cmd_check(args):
 def _heuristic(g, method, args):
     """Run the heuristic method ("ggmz" or "grasp") on g with the options in args."""
     if method == "ggmz":
-        return ggmz(g, TreeStrategy(args.tree), StableSetParams(time_limit_seconds=args.time_limit, seed=args.seed))
+        return ggmz(g, args.tree, StableSetParams(time_limit_seconds=args.time_limit, seed=args.seed))
     return grasp(g, GraspParams(max_iterations=args.iterations, time_limit_seconds=args.time_limit, seed=args.seed))
 
 

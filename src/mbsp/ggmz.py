@@ -208,7 +208,7 @@ def switched_negative_masks(g: SignedGraph, w) -> list:
     ]
 
 
-def ggmz(g: SignedGraph, strategy: TreeStrategy, params: StableSetParams = None) -> Bipartition:
+def ggmz(g: SignedGraph, strategy: TreeStrategy | str, params: StableSetParams = None) -> Bipartition:
     """Greedy heuristic: spanning forest, switch to kill its negative edges,
     then a maximal stable set of the remaining negative part.  The time
     limit counts from entry, so the forest and the switch set spend it too.

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import itertools
 import operator
 from dataclasses import dataclass, field
 from functools import cached_property
 
 POS = "+"
 NEG = "-"
+_DIGIT_BYTES = bytes.maketrans(b"01", b"\0\1")  # bin()'s digits as bytes 0/1, for bits
 
 
 class GraphError(ValueError):
@@ -144,8 +146,8 @@ def is_balanced(g: SignedGraph, subset=None):
 
 
 def bits(mask) -> list:
-    """The vertices of a vertex bitmask, ascending."""
-    return [v for v, c in enumerate(reversed(bin(mask))) if c == "1"]
+    """The vertices of a vertex bitmask, ascending, picked by its binary digits as bytes 0/1."""
+    return list(itertools.compress(itertools.count(), bin(mask)[:1:-1].encode().translate(_DIGIT_BYTES)))
 
 
 def attach(masks, v, s0, s1, comps):

@@ -62,14 +62,6 @@ def _bipartition(state):
     return Bipartition(bits(state[0]), bits(state[1]))
 
 
-def candidates(g: SignedGraph, p: Bipartition, side) -> set:
-    """Vertices outside p that can feasibly join the given side."""
-    if not is_feasible(g, p):
-        raise GraphError("candidates() requires a feasible solution")
-    c1, c2 = _open(_state(g.sign_masks, p.v1, p.v2), (1 << g.n) - 1)
-    return set(bits(c1 if side == 1 else c2))
-
-
 def _maximalize(masks, full, state):
     """Insert admissible vertices until none remains: lowest candidate index
     first, side 1 preferred."""

@@ -15,6 +15,19 @@ def _round_half_up(x):
     return int(math.floor(x + 0.5))
 
 
+def _checked_n(n, density) -> int:
+    """n through operator.index (a float raises TypeError), checked with density
+    for both random draws; each check is written so that NaN fails it."""
+    n = operator.index(n)
+    if not n >= 0:
+        raise ValueError(f"n must be non-negative, got {n}")
+    if not 0 < density <= 1:
+        raise ValueError(f"density must be in (0, 1], got {density}")
+    if density * n * (n - 1) / 2 < 1:
+        raise ValueError("density too low: no edges")
+    return n
+
+
 @dataclass(frozen=True)
 class RandomSpec:
     """Parameter grid point: Group 1 sets neg_ratio, Group 2 parallel_frac."""
@@ -28,18 +41,12 @@ class RandomSpec:
     def __post_init__(self):
         if (self.neg_ratio is None) == (self.parallel_frac is None):
             raise ValueError("set exactly one of neg_ratio / parallel_frac")
-        object.__setattr__(self, "n", operator.index(self.n))  # a float n raises TypeError
+        object.__setattr__(self, "n", _checked_n(self.n, self.density))
         # each check is written so that NaN fails it
-        if not self.n >= 0:
-            raise ValueError(f"n must be non-negative, got {self.n}")
-        if not 0 < self.density <= 1:
-            raise ValueError(f"density must be in (0, 1], got {self.density}")
         if self.neg_ratio is not None and not 0 <= self.neg_ratio < math.inf:
             raise ValueError(f"neg_ratio must be non-negative and finite, got {self.neg_ratio}")
         if self.parallel_frac is not None and not 0 < self.parallel_frac <= 1:
             raise ValueError(f"parallel_frac must be in (0, 1], got {self.parallel_frac}")
-        if self.density * self.n * (self.n - 1) / 2 < 1:
-            raise ValueError("density too low: no edges")
 
     @property
     def group(self) -> int:
@@ -75,11 +82,12 @@ def generate(spec: RandomSpec) -> SignedGraph:
 
 
 def generate_balanced(n, density, seed) -> SignedGraph:
-    """Balanced instance: signs assigned consistently with a random split."""
+    """Balanced instance: signs consistent with a random split; n, density as in RandomSpec."""
+    n = _checked_n(n, density)
     rng = random.Random(seed)
     side = [rng.random() < 0.5 for _ in range(n)]
     all_pairs = list(itertools.combinations(range(n), 2))
-    m = max(1, _round_half_up(density * len(all_pairs)))
+    m = _round_half_up(density * len(all_pairs))
     pairs = rng.sample(all_pairs, m)
     edges = [(u, v, POS if side[u] == side[v] else NEG) for u, v in pairs]
     return build(n, edges)
@@ -118,7 +126,7 @@ def read(path) -> SignedGraph:
 def parse_instance(text) -> SignedGraph:
     n = None
     m_declared = None
-    edges = []
+    edges = {}  # (u, v, sign) with u < v -> its line, for one line per edge
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -151,7 +159,9 @@ def parse_instance(text) -> SignedGraph:
                 raise ParseError(f"loop edge {u}", line_no)
             if not (1 <= u <= n and 1 <= v <= n):
                 raise ParseError(f"vertex out of range in {line!r}", line_no)
-            edges.append((u - 1, v - 1, s))
+            first = edges.setdefault((min(u, v) - 1, max(u, v) - 1, s), line_no)
+            if first != line_no:
+                raise ParseError(f"edge {line!r} repeats line {first}", line_no)
         else:
             raise ParseError(f"unknown directive {parts[0]!r}", line_no)
     if n is None:

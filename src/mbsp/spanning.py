@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import enum
 
-from .graph import NEG, POS, SignedGraph, UnionFind, bits, build
+from .graph import NEG, POS, SignedGraph, UnionFind, build
 
 
 class TreeStrategy(enum.Enum):
@@ -33,16 +33,13 @@ _FIXED_COSTS = {
 }
 
 
-def _edge_costs(g: SignedGraph, edges, strategy: TreeStrategy, rng) -> list:
-    """Costs of the signed edges (u, v, sign) of g under a Kruskal strategy,
-    in one pass; KRUSKAL_RANDOM draws one rng.randint(0, 1000) per edge, in
-    the order of edges (for the forest, g.edges: the sorted edge set)."""
-    if strategy not in KRUSKAL_STRATEGIES:
-        raise ValueError(f"{strategy} has no edge costs")
+def _edge_costs(g: SignedGraph, strategy: TreeStrategy, rng) -> list:
+    """Costs of g.edges under a Kruskal strategy, in one pass; KRUSKAL_RANDOM
+    draws one rng.randint(0, 1000) per edge, in g.edges order (sorted)."""
     if strategy is TreeStrategy.KRUSKAL_RANDOM:
         if rng is None:
             raise ValueError(f"{strategy} needs an rng")
-        return [rng.randint(0, 1000) for _ in edges]
+        return [rng.randint(0, 1000) for _ in g.edges]
     if strategy is TreeStrategy.KRUSKAL_ADAPTIVE:
         # f1 when |E-| / |E+| < 1, counted twice over from the bitmasks
         n_plus = sum(plus.bit_count() for plus, _ in g.sign_masks)
@@ -52,26 +49,23 @@ def _edge_costs(g: SignedGraph, edges, strategy: TreeStrategy, rng) -> list:
     parallel = [plus & minus for plus, minus in g.sign_masks]
     return [
         cost_par if parallel[u] >> v & 1 else cost_pos if s == POS else cost_neg
-        for u, v, s in edges
+        for u, v, s in g.edges
     ]
 
 
-def edge_cost(g: SignedGraph, e, strategy: TreeStrategy, rng) -> int:
-    """Cost of signed edge e = (u, v, sign) under a Kruskal strategy."""
-    return _edge_costs(g, (e,), strategy, rng)[0]
+def spanning_forest(g: SignedGraph, strategy: TreeStrategy | str, rng=None) -> SignedGraph:
+    """Spanning forest of g (one tree per component), same vertex set, by a
+    TreeStrategy or its value ("bfs", "f1", ...); anything else raises ValueError.
 
-
-def spanning_forest(g: SignedGraph, strategy: TreeStrategy, rng=None) -> SignedGraph:
-    """Spanning forest of g (one tree per component), same vertex set.
-
-    Kruskal variants build a minimum-cost forest under edge_cost, breaking
+    Kruskal variants build a minimum-cost forest under _edge_costs, breaking
     ties and drawing KRUSKAL_RANDOM's costs in g.edges order (sorted), and
     stop at n - 1 edges.  BFS/DFS walk the neighbour bitmasks of g.sign_masks:
     each starts at the lowest-index unvisited vertex and visits neighbors in
     index order; for a parallel pair the positive copy is taken into the tree.
     """
+    strategy = TreeStrategy(strategy)
     if strategy in KRUSKAL_STRATEGIES:
-        costs = _edge_costs(g, g.edges, strategy, rng)
+        costs = _edge_costs(g, strategy, rng)
         components = UnionFind(g.n)
         forest = []
         for i in sorted(range(g.m), key=costs.__getitem__):  # stable: ties in g.edges order
@@ -115,7 +109,9 @@ def _search_forest(g: SignedGraph, depth_first) -> SignedGraph:
             for u in queue:  # grows as it is read
                 fresh = neighbors[u] & unvisited
                 unvisited ^= fresh
-                for v in bits(fresh):
+                while fresh:
+                    v = (fresh & -fresh).bit_length() - 1
+                    fresh ^= 1 << v
                     forest.append(edge(u, v))
                     queue.append(v)
     return build(g.n, forest)

@@ -99,6 +99,7 @@ DIR = object()
 BAD_INSTANCES = {
     "negative-n": (b"p mbsp -1 0\n", "line 1: "),
     "vertex-out-of-range": (b"p mbsp 3 1\ne 1 4 +\n", "line 2: "),
+    "repeated-edge": (b"p mbsp 3 2\ne 1 2 +\ne 2 1 +\n", "line 3: "),
     "undecodable": (b"p mbsp 2 0\n\xff\n", "'utf-8' codec can't decode"),
     "missing": (None, "No such file or directory"),
     "directory": (DIR, "Is a directory"),

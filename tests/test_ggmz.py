@@ -141,6 +141,15 @@ def test_ggmz_deterministic_per_seed():
     assert a == b
 
 
+@pytest.mark.parametrize("strategy", ALL_STRATEGIES)
+def test_ggmz_takes_the_strategy_value(strategy):
+    g = I.generate(I.RandomSpec(30, 0.5, seed=1, neg_ratio=1.0))
+    params = GZ.StableSetParams(seed=1)
+    assert GZ.ggmz(g, strategy.value, params) == GZ.ggmz(g, strategy, params)
+    with pytest.raises(ValueError):
+        GZ.ggmz(g, strategy.name, params)  # the member name is not a value
+
+
 def _greedy_stable_set_reference(adj, n, rng, alpha):
     """Degree-greedy construction that recounts every live degree per pick."""
     alive = set(range(n))

@@ -4,7 +4,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mbsp import graph as G
@@ -255,6 +255,22 @@ def test_bits_round_trip(vertices):
     mask = sum(1 << v for v in vertices)
     assert G.bits(mask) == sorted(vertices)
     assert sum(1 << v for v in G.bits(mask)) == mask
+
+
+def _bits_reference(mask):
+    """bits as one walk over every binary digit."""
+    return [v for v, c in enumerate(reversed(bin(mask))) if c == "1"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=1 << 1000))
+@example(0)
+@example(1)
+@example((1 << 64) - 1)
+@example(1 << 64)
+@example((1 << 65) | 5)
+def test_bits_matches_the_digit_walk(mask):
+    assert G.bits(mask) == _bits_reference(mask)
 
 
 def test_bipartition_validates_disjointness():

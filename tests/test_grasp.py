@@ -16,12 +16,22 @@ import adjacency as A
 GR = importlib.import_module("mbsp.grasp")
 
 
+def _open_sides(g, p):
+    """GRASP's open vertices of solution p, as the sets (side 1, side 2)."""
+    c1, c2 = GR._open(GR._state(g.sign_masks, p.v1, p.v2), (1 << g.n) - 1)
+    return set(G.bits(c1)), set(G.bits(c2))
+
+
+def _is_maximal(g, p):
+    adj = A.signs(g)
+    return not _candidates_reference(adj, p, 1) and not _candidates_reference(adj, p, 2)
+
+
 def test_candidates_respect_signs():
     # 0-1 positive, 1-2 negative, 0-2 parallel
     g = G.build(3, [(0, 1, "+"), (1, 2, "-"), (0, 2, "+"), (0, 2, "-")])
     p = G.Bipartition(frozenset({0}), frozenset())
-    side1 = GR.candidates(g, p, 1)
-    side2 = GR.candidates(g, p, 2)
+    side1, side2 = _open_sides(g, p)
     assert 1 in side1 and 1 not in side2  # positive edge wants same side
     assert 2 not in side1 and 2 not in side2  # parallel pair excludes 2 entirely
 
@@ -29,8 +39,7 @@ def test_candidates_respect_signs():
 def test_candidates_negative_edge_crosses():
     g = G.build(2, [(0, 1, "-")])
     p = G.Bipartition(frozenset({0}), frozenset())
-    assert GR.candidates(g, p, 1) == set()
-    assert GR.candidates(g, p, 2) == {1}
+    assert _open_sides(g, p) == (set(), {1})
 
 
 def test_construct_is_feasible_and_maximal():
@@ -39,8 +48,7 @@ def test_construct_is_feasible_and_maximal():
         rng = random.Random(seed)
         p = GR.construct(g, rng)
         assert G.is_feasible(g, p)
-        assert not GR.candidates(g, p, 1)
-        assert not GR.candidates(g, p, 2)
+        assert _is_maximal(g, p)
 
 
 def test_local_search_never_shrinks():
@@ -259,8 +267,8 @@ def test_candidates_are_the_feasible_insertions(gp, side):
     g, p = gp
     grown = lambda i: G.Bipartition(p.v1 | {i}, p.v2) if side == 1 else G.Bipartition(p.v1, p.v2 | {i})  # noqa: E731
     want = {i for i in range(g.n) if i not in p.selected and G.is_feasible(g, grown(i))}
-    assert GR.candidates(g, p, side) == want
-    assert GR.candidates(g, p, side) == _candidates_reference(A.signs(g), p, side)
+    assert _open_sides(g, p)[side - 1] == want
+    assert _candidates_reference(A.signs(g), p, side) == want
 
 
 @settings(max_examples=200, deadline=None)
@@ -301,7 +309,7 @@ def test_local_search_at_passed_deadline_returns_maximal_feasible_solution():
         q = GR.local_search(g, p, deadline=time.monotonic())
         assert G.is_feasible(g, q)
         assert q.size() >= p.size()
-        assert not GR.candidates(g, q, 1) and not GR.candidates(g, q, 2)
+        assert _is_maximal(g, q)
         assert q == _maximalize_reference(A.signs(g), p)  # no neighborhood was scanned
 
 
@@ -338,7 +346,7 @@ def test_local_search_stops_at_the_deadline(monkeypatch):
             q = GR.local_search(g, p, deadline=k)
             assert len(seen) <= k and all(t < k for t in seen)
             assert G.is_feasible(g, q) and q.size() >= p.size()
-            assert not GR.candidates(g, q, 1) and not GR.candidates(g, q, 2)
+            assert _is_maximal(g, q)
             if len(seen) < k:  # the deadline did not bind
                 assert q == free_run
             else:

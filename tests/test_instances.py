@@ -97,6 +97,22 @@ def test_generate_balanced_is_balanced_and_full():
         assert g.m == expected_m(30, 0.4)
 
 
+@pytest.mark.parametrize(
+    "n, density, error, message",
+    [
+        (10, 2.0, ValueError, "density must be in"),
+        (1, 0.5, ValueError, "density too low"),
+        (-3, 0.5, ValueError, "n must be non-negative"),
+        (5, float("nan"), ValueError, "density must be in"),
+        (5, 0.0, ValueError, "density must be in"),
+        (5.0, 0.5, TypeError, "integer"),
+    ],
+)
+def test_generate_balanced_checks_its_inputs(n, density, error, message):
+    with pytest.raises(error, match=message):
+        I.generate_balanced(n, density, seed=0)
+
+
 def test_roundtrip_through_text():
     g = I.generate(I.RandomSpec(12, 0.5, seed=3, parallel_frac=0.5))
     h = I.parse_instance(I.format_instance(g))
@@ -134,6 +150,15 @@ def test_parse_accepts_comments_and_blank_lines():
 def test_parse_rejects_malformed(text):
     with pytest.raises(I.ParseError):
         I.parse_instance(text)
+
+
+@pytest.mark.parametrize("second", ["e 1 2 +", "e 2 1 +"])
+def test_parse_rejects_a_repeated_edge(second):
+    # one line per edge, so the header's count is always g.m
+    with pytest.raises(I.ParseError, match="repeats line 2") as raised:
+        I.parse_instance(f"p mbsp 3 2\ne 1 2 +\n{second}\n")
+    assert raised.value.line_no == 3
+    assert I.parse_instance("p mbsp 3 2\ne 1 2 +\ne 2 1 -\n").m == 2  # a parallel pair
 
 
 def test_parse_error_reports_line_number():

@@ -81,17 +81,16 @@ def test_fixed_cost_tables():
         (SP.TreeStrategy.KRUSKAL_F2, (1, 2, 3)),
         (SP.TreeStrategy.KRUSKAL_F3, (2, 1, 3)),
     ]:
-        assert SP.edge_cost(pos, pos.edges[0], strategy, None) == expected[0]
-        assert SP.edge_cost(neg, neg.edges[0], strategy, None) == expected[1]
-        assert SP.edge_cost(g, g.edges[0], strategy, None) == expected[2]
+        assert SP._edge_costs(pos, strategy, None) == [expected[0]]
+        assert SP._edge_costs(neg, strategy, None) == [expected[1]]
+        assert SP._edge_costs(g, strategy, None) == [expected[2]] * 2
 
 
 def test_random_costs_in_range_and_seeded():
     rng = random.Random(3)
-    costs = [SP.edge_cost(SAMPLE, e, SP.TreeStrategy.KRUSKAL_RANDOM, rng) for e in SAMPLE.edges]
-    assert all(0 <= c <= 1000 for c in costs)
-    rng2 = random.Random(3)
-    assert costs == [SP.edge_cost(SAMPLE, e, SP.TreeStrategy.KRUSKAL_RANDOM, rng2) for e in SAMPLE.edges]
+    costs = SP._edge_costs(SAMPLE, SP.TreeStrategy.KRUSKAL_RANDOM, rng)
+    assert len(costs) == SAMPLE.m and all(0 <= c <= 1000 for c in costs)
+    assert costs == SP._edge_costs(SAMPLE, SP.TreeStrategy.KRUSKAL_RANDOM, random.Random(3))
 
 
 def test_random_costs_need_an_rng():
@@ -99,16 +98,15 @@ def test_random_costs_need_an_rng():
     with pytest.raises(ValueError, match="rng"):
         SP.spanning_forest(g, SP.TreeStrategy.KRUSKAL_RANDOM)
     with pytest.raises(ValueError, match="rng"):
-        SP.edge_cost(g, g.edges[0], SP.TreeStrategy.KRUSKAL_RANDOM, None)
+        SP._edge_costs(g, SP.TreeStrategy.KRUSKAL_RANDOM, None)
 
 
 def test_adaptive_picks_by_sign_ratio():
     mostly_pos = G.build(3, [(0, 1, "+"), (1, 2, "+"), (0, 2, "-")])
     mostly_neg = G.build(3, [(0, 1, "-"), (1, 2, "-"), (0, 2, "+")])
-    e = mostly_pos.edges[0]  # a positive edge
-    assert SP.edge_cost(mostly_pos, e, SP.TreeStrategy.KRUSKAL_ADAPTIVE, None) == 3  # f1
-    e = (0, 2, "+")  # the positive edge
-    assert SP.edge_cost(mostly_neg, e, SP.TreeStrategy.KRUSKAL_ADAPTIVE, None) == 1  # f2
+    # costs in g.edges order: (0, 1), (0, 2), (1, 2)
+    assert SP._edge_costs(mostly_pos, SP.TreeStrategy.KRUSKAL_ADAPTIVE, None) == [3, 1, 3]  # f1
+    assert SP._edge_costs(mostly_neg, SP.TreeStrategy.KRUSKAL_ADAPTIVE, None) == [2, 1, 2]  # f2
 
 
 def test_f1_prefers_negative_edges():
@@ -140,11 +138,25 @@ def test_from_token():
         SP.TreeStrategy("nope")
 
 
-def _edge_costs_reference(g, edges, strategy, rng):
-    """edge_cost of each of the edges before it ran on bitmasks, from the
-    edge-class sets of the edge list."""
+@pytest.mark.parametrize("strategy", list(SP.TreeStrategy))
+def test_strategy_may_be_given_as_its_value(strategy):
+    for seed in range(3):
+        g = I.generate(I.RandomSpec(30, 0.5, seed=seed, neg_ratio=1.0))
+        by_value = SP.spanning_forest(g, strategy.value, random.Random(seed))
+        assert by_value == SP.spanning_forest(g, strategy, random.Random(seed))
+
+
+@pytest.mark.parametrize("strategy", ["nonsense", "BFS", None, 0])
+def test_a_value_that_is_not_a_strategy_raises(strategy):
+    with pytest.raises(ValueError):
+        SP.spanning_forest(SAMPLE, strategy, random.Random(0))
+
+
+def _edge_costs_reference(g, strategy, rng):
+    """The costs of g.edges as they were before _edge_costs ran on bitmasks,
+    from the edge-class sets of the edge list."""
     if strategy is SP.TreeStrategy.KRUSKAL_RANDOM:
-        return [rng.randint(0, 1000) for _ in edges]
+        return [rng.randint(0, 1000) for _ in g.edges]
     plus, minus = A.pairs(g, G.POS), A.pairs(g, G.NEG)
     if strategy is SP.TreeStrategy.KRUSKAL_ADAPTIVE:
         below_one = plus and len(minus) / len(plus) < 1
@@ -152,7 +164,7 @@ def _edge_costs_reference(g, edges, strategy, rng):
     cost_pos, cost_neg, cost_par = {"f1": (3, 1, 2), "f2": (1, 2, 3), "f3": (2, 1, 3)}[strategy.value]
     return [
         cost_par if (min(u, v), max(u, v)) in plus & minus else cost_pos if sign == "+" else cost_neg
-        for u, v, sign in edges
+        for u, v, sign in g.edges
     ]
 
 
@@ -161,7 +173,7 @@ def _spanning_forest_reference(g, strategy, rng=None):
     edge-class sets, a union-find over every edge in (cost, index) order,
     and BFS/DFS over sorted adjacency lists."""
     if strategy in SP.KRUSKAL_STRATEGIES:
-        costs = _edge_costs_reference(g, g.edges, strategy, rng)
+        costs = _edge_costs_reference(g, strategy, rng)
         costed = [(cost, i, e) for i, (cost, e) in enumerate(zip(costs, g.edges))]
         costed.sort(key=lambda t: (t[0], t[1]))
         parent = list(range(g.n))
@@ -230,8 +242,7 @@ def test_spanning_forest_matches_the_reference(strategy):
                 assert rng.getstate() == ref_rng.getstate()
                 if strategy in SP.KRUSKAL_STRATEGIES:
                     rng, ref_rng = random.Random(seed), random.Random(seed)
-                    # edge_cost reads the forest's rule
-                    got = [SP.edge_cost(g, e, strategy, rng) for e in g.edges]
-                    assert got == _edge_costs_reference(g, g.edges, strategy, ref_rng)
+                    got = SP._edge_costs(g, strategy, rng)
+                    assert got == _edge_costs_reference(g, strategy, ref_rng)
                 disconnected += t.m < g.n - 1
     assert disconnected >= 12
