@@ -7,11 +7,8 @@ from .graph import (
     GraphError,
     SignedGraph,
     build,
-    induced,
     is_balanced,
     is_feasible,
-    negative_part,
-    switch,
 )
 from .spanning import TreeStrategy, spanning_forest
 from .ggmz import StableSetParams, stable_set_grasp, switch_set_from_forest
@@ -27,11 +24,8 @@ __all__ = [
     "GraphError",
     "SignedGraph",
     "build",
-    "induced",
     "is_balanced",
     "is_feasible",
-    "negative_part",
-    "switch",
     "TreeStrategy",
     "spanning_forest",
     "StableSetParams",

@@ -52,8 +52,8 @@ class CutPool:
     index in the pool is its name in the exact search.
 
     Each cut's dense row is stored once, in one (rows x n) matrix that
-    doubles as it fills: a scan is a single matrix-vector product, and the
-    solver's LP rows are the pool's own.
+    doubles as it fills: the violations of every row at a point are a single
+    matrix-vector product, and the solver's LP rows are the pool's own.
     """
 
     def __init__(self, n):
@@ -88,14 +88,15 @@ class CutPool:
         """The coefficient arrays and rhs of rows (an index list or slice)."""
         return self._mat[rows], self._rhs[rows]
 
-    def violations(self, rows, y):
-        """lhs - rhs at y of rows (an index list or slice), in one product."""
-        return self._mat[rows] @ np.asarray(y, dtype=float) - self._rhs[rows]
+    def violations(self, y):
+        """lhs - rhs at y of every row, in one product."""
+        rows = len(self._cuts)
+        return self._mat[:rows] @ np.asarray(y, dtype=float) - self._rhs[:rows]
 
 
-def scan_pool(pool: CutPool, y, limit=100):
-    """The list of rows violated at y, most violated first (ties by age)."""
-    viol = pool.violations(slice(len(pool)), y)
+def scan_pool(viol, limit=100):
+    """The list of rows violated by more than VIOLATION_TOL in viol, the
+    pool's violations at a point, most violated first (ties by age)."""
     idx = np.nonzero(viol > VIOLATION_TOL)[0]
     order = idx[np.lexsort((idx, -viol[idx]))]
     return order[:limit].tolist()

@@ -8,7 +8,7 @@ import random
 import time
 from dataclasses import dataclass
 
-from .graph import Bipartition, SignedGraph, UnionFind, bits, is_balanced
+from .graph import Bipartition, SignedGraph, UnionFind, _vertex_mask, bits, is_balanced
 from .spanning import TreeStrategy, spanning_forest
 
 RCL_ALPHA = 0.3  # RCL width of the degree-greedy construction
@@ -200,7 +200,7 @@ def switched_negative_masks(g: SignedGraph, w) -> list:
     """Neighbour bitmasks of negative_part(switch(g, w)), read from
     g.sign_masks: switching at w flips the sign of each edge with exactly
     one endpoint in w, and a parallel pair stays negative."""
-    inside = sum(1 << v for v in w)
+    inside = _vertex_mask(g.n, w)
     outside = (1 << g.n) - 1 ^ inside
     return [
         minus & inside | plus & outside if inside >> u & 1 else minus & outside | plus & inside

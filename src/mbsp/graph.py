@@ -206,14 +206,15 @@ class UnionFind:
 
 @dataclass(frozen=True)
 class Bipartition:
-    """A feasible MBSP solution: disjoint sides (v1, v2)."""
+    """A feasible MBSP solution: disjoint sides (v1, v2).  The ids go
+    through operator.index, as in build: numpy integers become ints."""
 
     v1: frozenset = field(default_factory=frozenset)
     v2: frozenset = field(default_factory=frozenset)
 
     def __post_init__(self):
-        object.__setattr__(self, "v1", frozenset(self.v1))
-        object.__setattr__(self, "v2", frozenset(self.v2))
+        object.__setattr__(self, "v1", frozenset(map(operator.index, self.v1)))
+        object.__setattr__(self, "v2", frozenset(map(operator.index, self.v2)))
         if self.v1 & self.v2:
             raise GraphError("bipartition sides must be disjoint")
 

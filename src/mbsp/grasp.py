@@ -8,6 +8,7 @@ side 1, and the mirror image from side 2; a parallel pair bars both.
 
 from __future__ import annotations
 
+import math
 import random
 import time
 from dataclasses import dataclass
@@ -116,7 +117,7 @@ def _bases(masks, full, state, side, k):
             mid |= bars[b]
 
 
-def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
+def local_search(g: SignedGraph, p: Bipartition, deadline=math.inf) -> Bipartition:
     """Two-neighborhood local search: neighborhood (i) drops one vertex of a
     side, (ii) a pair; each then inserts one candidate and re-maximalizes.
     The current solution is replaced by the largest neighbor, (i) is scanned
@@ -135,7 +136,7 @@ def local_search(g: SignedGraph, p: Bipartition, deadline=None) -> Bipartition:
         for k in (1, 2):  # neighborhood (i) removes one vertex, (ii) a pair
             for side in (1, 2):
                 for base in _bases(masks, full, current, side, k):
-                    if deadline is not None and time.monotonic() >= deadline:
+                    if time.monotonic() >= deadline:
                         return _bipartition(best)
                     c = _open(base, full)
                     if _size(base) + (c[0] | c[1]).bit_count() <= _size(best):

@@ -225,6 +225,9 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 if bound <= lb + 1 - INT_TOL:
                     prune = True
                     break
+            # the one pool product at this point: the scan, the slack drop,
+            # the rows a child inherits and the binding cuts all read it
+            viol = pool.violations(sol.values)
             # an integral point left open is unbalanced: separation must cut it off
             integral = _is_integral(y)
             stalled = prev_bound is not None and prev_bound - bound < 0.005
@@ -238,31 +241,26 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
                 heapq.heappush(heap, (-bound, counter, node))
                 prune = True
                 break
-            # the pool scan is a matrix product, so it takes the array
-            new_rows = timed("pool_scan", C.scan_pool, pool, sol.values, MAX_CUTS_PER_ROUND)
+            new_rows = timed("pool_scan", C.scan_pool, viol, MAX_CUTS_PER_ROUND)
             if not new_rows:
                 cycles = timed("sep_cycle", C.separate_odd_negative_cycle, g, y, MAX_CUTS_PER_ROUND)
                 new_cuts = [timed("lift", C.lift_odd_negative_cycle, g, cut) for cut in cycles]
-                if parallel and len(new_cuts) < MAX_CUTS_PER_ROUND:
-                    limit = MAX_CUTS_PER_ROUND - len(new_cuts)
-                    new_cuts += timed("sep_clique", C.separate_clique, g, y, limit=limit)
-                if parallel and len(new_cuts) < MAX_CUTS_PER_ROUND:
-                    limit = MAX_CUTS_PER_ROUND - len(new_cuts)
-                    new_cuts += timed("sep_hole", C.separate_lifted_odd_hole, g, y, limit=limit)
-                new_rows = [pool.add(cut) for cut in new_cuts]
+                # the pairs are built per round, so a wrapper bound to C. is what runs
+                for name, separate in (("sep_clique", C.separate_clique), ("sep_hole", C.separate_lifted_odd_hole)):
+                    if parallel and len(new_cuts) < MAX_CUTS_PER_ROUND:
+                        new_cuts += timed(name, separate, g, y, limit=MAX_CUTS_PER_ROUND - len(new_cuts))
+                # two separators may find one key: its row goes in once
+                new_rows = list(dict.fromkeys(pool.add(cut) for cut in new_cuts))
             if not new_rows:
                 break
             if not integral:
                 # rows gone slack at the current point only pad the tableau;
                 # the pool re-supplies any that become violated again
-                viol = pool.violations(active, sol.values).tolist()
-                active = [i for i, v in zip(active, viol) if v >= -DROP_SLACK]
-            in_active = set(active)
-            fresh = [i for i in dict.fromkeys(new_rows) if i not in in_active]
-            if not fresh:
-                break
-            active += fresh
-            for i in fresh:
+                active = [i for i, v in zip(active, viol[active].tolist()) if v >= -DROP_SLACK]
+            # every new row is violated at this point and every active row
+            # holds there, so none of them is active yet
+            active += new_rows
+            for i in new_rows:
                 note_cut(pool[i])
             rounds += 1
 
@@ -275,9 +273,9 @@ def solve(g: SignedGraph, params: SolveParams = None) -> SolveResult:
 
         # children inherit only the cuts still doing work at this node's point;
         # anything dropped stays in the pool and can return via scan_pool
-        viol = pool.violations(active, sol.values).tolist()
-        tight = tuple(i for i, v in zip(active, viol) if v >= -INHERIT_SLACK)
-        binding = [pool[i] for i, v in zip(active, viol) if abs(v) <= BINDING_TOL]
+        active_viol = viol[active].tolist()
+        tight = tuple(i for i, v in zip(active, active_viol) if v >= -INHERIT_SLACK)
+        binding = [pool[i] for i, v in zip(active, active_viol) if abs(v) <= BINDING_TOL]
         node = SearchNode(node.fixings, node.extra_rows, bound, tight, basis)
         for child in timed("branch", branch, node, y, binding, params.branching):
             counter += 1

@@ -87,7 +87,7 @@ def test_cut_pool_dedup():
     mat, rhs = pool.dense([1, 0])
     assert mat.tolist() == [[0.0, 1.0, 1.0, 0.0], [1.0, 1.0, 0.0, 0.0]]
     assert rhs.tolist() == [1.0, 1.0]
-    assert pool.violations([1, 0], [0.5, 0.25, 1.0, 0.0]).tolist() == [0.25, -0.25]
+    assert pool.violations([0.5, 0.25, 1.0, 0.0])[[1, 0]].tolist() == [0.25, -0.25]
 
 
 def test_cut_pool_names_a_key_by_its_first_row():
@@ -99,7 +99,7 @@ def test_cut_pool_names_a_key_by_its_first_row():
     # a cut of another kind with the same key is the stored cut's row
     assert pool.add(clique) == 1 and pool.add(hole) == 1
     assert len(pool) == 2 and pool[1] is clique
-    got = C.scan_pool(pool, [0.5, 0.5, 0.5, 0.75])
+    got = C.scan_pool(pool.violations([0.5, 0.5, 0.5, 0.75]))
     assert type(got) is list and all(type(i) is int for i in got)
     assert got == [1, 0]
 
@@ -109,8 +109,8 @@ def test_scan_pool_orders_by_violation():
     small = pool.add(C.Cut.make({0: 1.0, 1: 1.0}, 1.0, C.PARALLEL_EDGE))
     big = pool.add(C.Cut.make({2: 1.0, 3: 1.0}, 1.0, C.PARALLEL_EDGE))
     y = [0.6, 0.6, 1.0, 1.0]
-    assert C.scan_pool(pool, y) == [big, small]
-    assert C.scan_pool(pool, [0.0] * 4) == []
+    assert C.scan_pool(pool.violations(y)) == [big, small]
+    assert C.scan_pool(pool.violations([0.0] * 4)) == []
 
 
 def test_scan_pool_breaks_ties_by_age():
@@ -120,10 +120,10 @@ def test_scan_pool_breaks_ties_by_age():
     for cut in cuts[:3]:
         pool.add(cut)
     # violations 0.2, 0.2, 0.4: the larger first, then the older
-    assert C.scan_pool(pool, y) == [2, 0, 1]
-    assert C.scan_pool(pool, y, limit=2) == [2, 0]
+    assert C.scan_pool(pool.violations(y)) == [2, 0, 1]
+    assert C.scan_pool(pool.violations(y), limit=2) == [2, 0]
     assert pool.add(cuts[3]) == 3  # appended to the matrix of the last scan
-    assert C.scan_pool(pool, y) == [3, 2, 0, 1]
+    assert C.scan_pool(pool.violations(y)) == [3, 2, 0, 1]
 
 
 def test_cut_pool_keeps_rows_and_order_past_growth():
@@ -145,13 +145,13 @@ def test_cut_pool_keeps_rows_and_order_past_growth():
     y = [0.75] * (n - 1) + [1.0]
     expect = [i for i, c in enumerate(cuts) if 11 in dict(c.coeffs)]
     expect += [i for i, c in enumerate(cuts) if 11 not in dict(c.coeffs)]
-    assert C.scan_pool(pool, y, limit=len(cuts)) == expect
+    assert C.scan_pool(pool.violations(y), limit=len(cuts)) == expect
     # the product sums in another order than Cut.violation, the reference
     rng = random.Random(5)
     z = [rng.random() for _ in range(n)]
     rows = list(range(len(cuts)))[::-3]
     want = [cuts[i].violation(z) for i in rows]
-    assert np.allclose(pool.violations(rows, z), want, rtol=0.0, atol=1e-12)
+    assert np.allclose(pool.violations(z)[rows], want, rtol=0.0, atol=1e-12)
 
 
 def test_conflict_graph():

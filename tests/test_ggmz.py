@@ -4,6 +4,7 @@ import math
 import random
 import sys
 
+import numpy as np
 import pytest
 
 import importlib
@@ -559,6 +560,12 @@ def test_switched_negative_masks_match_the_switched_graph():
             ):
                 want = mask_adjacency(G.negative_part(G.switch(g, w)))
                 assert GZ.switched_negative_masks(g, w) == want
+
+
+def test_switched_negative_masks_take_numpy_vertex_ids():
+    g = I.generate(I.RandomSpec(100, 0.05, seed=1, neg_ratio=1.0))
+    w = {3, 70, 99}
+    assert GZ.switched_negative_masks(g, {np.int64(v) for v in w}) == GZ.switched_negative_masks(g, w)
 
 
 @pytest.mark.parametrize("strategy", ALL_STRATEGIES)

@@ -68,6 +68,15 @@ def test_local_search_is_locally_optimal():
         assert GR.local_search(g, q).size() == q.size()
 
 
+def test_local_search_takes_numpy_vertex_ids():
+    # a numpy id becomes an int in the Bipartition, so bitmasks past bit 63 work
+    g = I.generate(I.RandomSpec(100, 0.05, seed=1, neg_ratio=1.0))
+    p = G.Bipartition({np.int64(70)}, set())
+    assert [type(v) for v in p.v1] == [int]
+    want = GR.local_search(g, G.Bipartition({70}, set()))
+    assert GR.local_search(g, p) == want and G.is_feasible(g, want)
+
+
 def test_grasp_feasible_and_deterministic():
     g = I.generate(I.RandomSpec(14, 0.5, seed=5, neg_ratio=1.0))
     params = GR.GraspParams(max_iterations=20, seed=123)

@@ -316,6 +316,27 @@ def test_conflict_graph_separators_run_only_with_a_parallel_pair(monkeypatch):
     assert r.stats["cuts_by_kind"][C.LIFTED_ODD_HOLE] > 0
 
 
+@pytest.mark.parametrize("mode", ["cycle", "standard"])
+def test_one_pool_product_per_lp_point(monkeypatch, mode):
+    # the scan, the slack drop and the inherited rows read one product,
+    # taken when a point reaches the integrality test
+    counts = {"viol": 0, "points": 0}
+
+    def counted(key, fn):
+        def call(*args):
+            counts[key] += 1
+            return fn(*args)
+
+        return call
+
+    monkeypatch.setattr(C.CutPool, "violations", counted("viol", C.CutPool.violations))
+    monkeypatch.setattr(S, "_is_integral", counted("points", S._is_integral))
+    for spec in (I.RandomSpec(20, 0.5, seed=1, neg_ratio=1.0), I.RandomSpec(20, 0.5, seed=1, parallel_frac=0.25)):
+        r = S.solve(I.generate(spec), S.SolveParams(branching=mode))
+        assert r.stats["nodes"] > 1
+    assert counts["viol"] == counts["points"] > 0
+
+
 def test_deterministic_across_runs():
     g = I.generate(I.RandomSpec(12, 0.5, seed=3, parallel_frac=0.5))
     a = S.solve(g)
@@ -360,7 +381,7 @@ def test_slack_thresholds_ignore_the_last_bit_of_a_violation(monkeypatch, mode):
         g = I.generate(spec)
         expected = signature(S.solve(g, params))
         for eps in (4e-16, -4e-16):
-            monkeypatch.setattr(C.CutPool, "violations", lambda pool, rows, y, eps=eps: violations(pool, rows, y) + eps)
+            monkeypatch.setattr(C.CutPool, "violations", lambda pool, y, eps=eps: violations(pool, y) + eps)
             assert signature(S.solve(g, params)) == expected, (spec, eps)
             monkeypatch.setattr(C.CutPool, "violations", violations)
 
